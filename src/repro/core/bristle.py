@@ -41,7 +41,6 @@ from ..sim.rng import RngStreams
 from ..sim.telemetry import Telemetry, active_telemetry
 from .config import BristleConfig
 from .ldt import LDTMember, LDTree, build_ldt, merge_registry_members
-from .ldt_forest import ForestSpec, build_ldt_forest
 from .location import (
     BatchPublishResult,
     LocationDirectory,
@@ -294,25 +293,12 @@ class BristleNetwork:
         self._proximity = proximity
 
         # --- location management ---------------------------------------------
-        # Either backend: the object directory is the default (and the
-        # parity oracle); ``config.columnar_directory`` swaps in the
-        # struct-of-arrays store with bit-identical state evolution.
-        if config.columnar_directory:
-            from ..sim.columnar import ColumnarDirectory
-
-            self.directory = ColumnarDirectory(
-                self.space,
-                self.stationary_layer,
-                replication=config.replication,
-                ledger=self.telemetry.nodeload,
-            )
-        else:
-            self.directory = LocationDirectory(
-                self.space,
-                self.stationary_layer,
-                replication=config.replication,
-                ledger=self.telemetry.nodeload,
-            )
+        self.directory = LocationDirectory(
+            self.space,
+            self.stationary_layer,
+            replication=config.replication,
+            ledger=self.telemetry.nodeload,
+        )
         self.registrations = RegistrationManager(
             self.nodes, metrics=self.telemetry.metrics
         )
@@ -553,105 +539,26 @@ class BristleNetwork:
         self, key: int, *, locality_tie_break: bool = False
     ) -> LDTree:
         """Construct the advertisement tree for mobile node ``key`` from
-        its current registry (Fig 4).
+        its current registry (Fig 4)."""
+        members = [self._ldt_member(e.key) for e in self.nodes[key].registry_entries()]
+        return self._build_tree(self._ldt_member(key), members, locality_tie_break)
 
-        Stays on the sequential recursion — this is the parity oracle the
-        forest builder is tested against; batch call sites go through
-        :meth:`build_ldt_for_many`.
-        """
-        spec = self._ldt_spec_for(key, locality_tie_break=locality_tie_break)
+    def _ldt_member(self, key: int) -> LDTMember:
+        node = self.nodes[key]
+        return LDTMember(key=key, capacity=node.capacity, used=node.used)
+
+    def _build_tree(
+        self, root: LDTMember, members: List[LDTMember], locality_tie_break: bool
+    ) -> LDTree:
+        """Run Fig 4 from ``root`` over ``members`` and record its telemetry."""
+        tie = None
+        if locality_tie_break:
+            tie = lambda m: self.network_distance_between_keys(root.key, m.key)  # noqa: E731
         tree = build_ldt(
-            spec.root,
-            spec.registry,
-            unit_cost=spec.unit_cost,
-            tie_break=spec.tie_break,
+            root, members, unit_cost=self.config.unit_advertise_cost, tie_break=tie
         )
         self._ldt_metrics(tree)
         return tree
-
-    def _ldt_spec_for(
-        self, key: int, *, locality_tie_break: bool = False
-    ) -> ForestSpec:
-        """The Fig-4 inputs of ``key``'s tree as one forest spec."""
-        node = self.nodes[key]
-        root = LDTMember(key=key, capacity=node.capacity, used=node.used)
-        members = [
-            LDTMember(
-                key=e.key,
-                capacity=self.nodes[e.key].capacity,
-                used=self.nodes[e.key].used,
-            )
-            for e in node.registry_entries()
-        ]
-        tie = None
-        if locality_tie_break:
-            tie = lambda m: self.network_distance_between_keys(key, m.key)  # noqa: E731
-        return ForestSpec(
-            root=root,
-            registry=members,
-            unit_cost=self.config.unit_advertise_cost,
-            tie_break=tie,
-        )
-
-    def build_ldt_for_many(
-        self, keys: Sequence[int], *, locality_tie_break: bool = False
-    ) -> Dict[int, LDTree]:
-        """Construct the advertisement trees of many mobile keys in one
-        vectorised pass through :func:`build_ldt_forest`.
-
-        Bit-identical to calling :meth:`build_ldt_for` per key (the forest
-        builder's parity guarantee), with the capacity sort and the Fig-4
-        recursion amortised across the whole batch; per-tree telemetry is
-        recorded in ``keys`` order, exactly as the sequential loop would.
-        """
-        key_list = [int(k) for k in keys]
-        forest = build_ldt_forest(
-            [
-                self._ldt_spec_for(k, locality_tie_break=locality_tie_break)
-                for k in key_list
-            ]
-        )
-        out: Dict[int, LDTree] = {}
-        for index, key in enumerate(key_list):
-            tree = forest.tree(index)
-            self._ldt_metrics(tree)
-            out[key] = tree
-        return out
-
-    def ldt_for_many(self, keys: Sequence[int]) -> Dict[int, LDTree]:
-        """Cached batch variant of :meth:`ldt_for`.
-
-        Every key pays the same fingerprint check (and the same
-        ``ldt.cache_hits``/``ldt.cache_misses`` accounting) as the scalar
-        path; the cache misses are then rebuilt together through the
-        forest builder instead of one recursion per key.
-        """
-        m = self.telemetry.metrics
-        out: Dict[int, LDTree] = {}
-        misses: List[int] = []
-        fingerprints: Dict[int, tuple] = {}
-        for key in keys:
-            key = int(key)
-            node = self.nodes[key]
-            fp = (
-                node.ldt_epoch,
-                tuple(self.nodes[r].ldt_epoch for r in sorted(node.registry)),
-            )
-            cached = self._ldt_cache.get(key)
-            if cached is not None and cached[0] == fp:
-                m.counter("ldt.cache_hits").inc()
-                out[key] = cached[1]
-                continue
-            m.counter("ldt.cache_misses").inc()
-            fingerprints[key] = fp
-            misses.append(key)
-        if misses:
-            rebuilt = self.build_ldt_for_many(misses)
-            for key in misses:
-                tree = rebuilt[key]
-                self._ldt_cache[key] = (fingerprints[key], tree)
-                out[key] = tree
-        return out
 
     def _ldt_metrics(self, tree: LDTree) -> None:
         m = self.telemetry.metrics
@@ -716,41 +623,14 @@ class BristleNetwork:
         if not group:
             raise ValueError("build_ldt_for_group needs at least one key")
         rep = max(group, key=lambda k: (self.nodes[k].available, -k))
-        rep_node = self.nodes[rep]
-        root = LDTMember(key=rep, capacity=rep_node.capacity, used=rep_node.used)
         members = merge_registry_members(
             (
-                [
-                    LDTMember(
-                        key=e.key,
-                        capacity=self.nodes[e.key].capacity,
-                        used=self.nodes[e.key].used,
-                    )
-                    for e in self.nodes[k].registry_entries()
-                ]
+                [self._ldt_member(e.key) for e in self.nodes[k].registry_entries()]
                 for k in group
             ),
             exclude=group,
         )
-        tie = None
-        if locality_tie_break:
-            tie = lambda m: self.network_distance_between_keys(rep, m.key)  # noqa: E731
-        # Routed through the columnar forest builder (a batch of one):
-        # bit-identical to build_ldt on the same inputs, and the batched
-        # update path shares one construction code path with
-        # build_ldt_for_many / the scale engine.
-        forest = build_ldt_forest(
-            [
-                ForestSpec(
-                    root=root,
-                    registry=members,
-                    unit_cost=self.config.unit_advertise_cost,
-                    tie_break=tie,
-                )
-            ]
-        )
-        tree = forest.tree(0)
-        self._ldt_metrics(tree)
+        tree = self._build_tree(self._ldt_member(rep), members, locality_tie_break)
         return rep, tree
 
     def ldt_for_group(self, keys: Sequence[int]) -> Tuple[int, LDTree]:

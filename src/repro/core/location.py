@@ -398,7 +398,7 @@ class LocationDirectory:
     def snapshot(self) -> Tuple[tuple, ...]:
         """Canonical state: (key, holder, router, port, epoch, published,
         ttl) rows sorted by (key, holder) — the parity contract shared with
-        ``ColumnarDirectory.snapshot``."""
+        ``ColumnarStore.snapshot_rows``."""
         rows = []
         for holder, recs in self._stores.items():
             for key, rec in recs.items():

@@ -136,15 +136,14 @@ class EarlyBinding(BindingPolicy):
             if live:
                 self._refresh_group(live)
         ungrouped = [mk for mk in net.mobile_keys if mk not in self._grouped]
-        # One columnar forest pass rebuilds every cache-missed tree for the
-        # period; cache hits and trees are identical to per-key ldt_for.
-        trees = net.ldt_for_many(
-            [mk for mk in ungrouped if net.nodes[mk].registry]
-        )
+        # Every tree (cached, or rebuilt on a miss) is fetched before the
+        # first publish: the LDT histograms and the load ledger record in
+        # this order.
+        trees = {mk: net.ldt_for(mk) for mk in ungrouped if net.nodes[mk].registry}
         for mk in ungrouped:
             self._refresh_one(mk, tree=trees.get(mk))
 
-    def _refresh_one(self, mk: int, tree: Optional["LDTree"] = None) -> None:
+    def _refresh_one(self, mk: int, tree: Optional[LDTree]) -> None:
         net = self.net
         node = net.nodes[mk]
         # §2.3.1 note (2): besides the LDT advertisement, the node
@@ -154,12 +153,9 @@ class EarlyBinding(BindingPolicy):
             mk, node.address, now=self.engine.now, ttl=net.config.state_ttl
         )
         self.stats.publishes += len(holders)
-        if not node.registry:
+        if tree is None:  # no registrants to advertise to
             return
-        # Mobile node advertises its state down the (cached) LDT — served
-        # from the caller's batched ldt_for_many pass when present.
-        if tree is None:
-            tree = net.ldt_for(mk)
+        # Mobile node advertises its state down the (cached) LDT.
         self.stats.advertisements += tree.message_count
         for entry in node.registry_entries():
             registrant = net.nodes.get(entry.key)

@@ -9,12 +9,11 @@ event batches with vectorised kernels:
   columns (key, address triple, lease times, replica holders) with a
   precomputed expiry ordering, so a TTL sweep slices off the expired
   prefix instead of checking every lease;
-* :class:`ColumnarDirectory` — a drop-in
-  :class:`repro.core.location.LocationDirectory` backend over that store.
-  The object directory stays on as the **parity oracle**: on any seeded
-  scenario both must produce bit-identical :meth:`snapshot` tuples (the
-  oracle-vs-bulk pattern the batched-update and churn-repair PRs
-  established);
+* :class:`ColumnarDirectory` — the scale engine's location directory
+  over that store and a static stationary membership.  The object
+  directory (:class:`repro.core.location.LocationDirectory` over a
+  ring-nearest overlay) is its **parity oracle**: on any seeded
+  interleaving both must hold bit-identical snapshot rows;
 * placement kernels — :func:`ring_nearest` (vectorised
   ``KeySpace.nearest_key``) and :func:`expand_holders` (vectorised
   replica placement, exact replica order of
@@ -25,10 +24,12 @@ event batches with vectorised kernels:
 * :class:`StatePairColumns` — registration/state-pair tables as columns
   (registrant, key, address, lease), bridged to/from the per-node
   :class:`repro.overlay.state.StateTable` object model;
-* :func:`run_scale_shard` — one keyspace shard of the million-node
-  churn+traffic scenario.  Every per-key event stream is derived by
-  hashing the key itself (:func:`mix64`), so any shard partition of the
-  key population replays bit-identically to the serial run; the driver
+* :func:`run_scale_shard` / :func:`run_traffic_shard` — one keyspace
+  shard of the million-node churn and Zipf traffic-mix scenarios, built
+  from the same shared steps (partition, publish, forest advertise,
+  lookup).  Every per-key event stream is derived by hashing the key
+  itself (:func:`mix64`), so any shard partition of the key population
+  replays bit-identically to the serial run; the driver
   (``repro.experiments.ext_scaling``) fans shards out through
   ``sweep_map`` and merges snapshots by concatenation.
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -240,7 +241,7 @@ def snapshot_checksum(rows: Sequence[tuple]) -> str:
 
 
 class ExpiryHeap:
-    """Min-expiry index shared by both directory backends (lazy deletion).
+    """Min-expiry index of ``LocationDirectory`` (lazy deletion).
 
     ``push`` records ``(expires_at, key)``; ``pop_expired`` pops every
     entry strictly below ``now`` and hands each to a validity callback
@@ -444,201 +445,52 @@ class ColumnarStore:
 
 
 class ColumnarDirectory:
-    """Struct-of-arrays drop-in for ``LocationDirectory``.
+    """The scale engine's location directory over a static membership.
 
-    Same public surface and bit-identical state evolution (the object
-    directory is the parity oracle); storage and bulk paths run on
-    :class:`ColumnarStore` columns.  Owner resolution has two modes:
-
-    * **overlay mode** (``stationary_overlay=``) delegates to the
-      overlay's own ``owner_of`` — exact for all five substrate
-      geometries (ring-nearest, Chord successor, Tapestry surrogate,
-      CAN zones), which is what the cross-overlay parity tests need;
-    * **array mode** (``stationary_keys=``) uses the vectorised
-      :func:`ring_nearest` kernel over a static membership column — the
-      million-node scale engine path, no overlay objects at all.
+    Owners come from the vectorised :func:`ring_nearest` kernel over a
+    sorted stationary-key column and replicas from
+    :func:`expand_holders`; records live in a :class:`ColumnarStore`.
+    The shard runners write whole batches through :attr:`store` and read
+    them back with :meth:`resolve_array` — no overlay objects at all.
+    ``LocationDirectory`` over a ring-nearest overlay is the parity
+    oracle for this state evolution.
     """
 
     def __init__(
-        self,
-        space,
-        stationary_overlay=None,
-        replication: int = 3,
-        ledger=None,
-        *,
-        stationary_keys: Optional[np.ndarray] = None,
+        self, space, *, stationary_keys: np.ndarray, replication: int = 3
     ) -> None:
         if replication < 1:
             raise ValueError("replication must be >= 1")
-        if (stationary_overlay is None) == (stationary_keys is None):
-            raise ValueError(
-                "pass exactly one of stationary_overlay= or stationary_keys="
-            )
         if space.bits > MAX_COLUMNAR_BITS:
             raise ValueError(
                 f"ColumnarDirectory supports key_bits <= {MAX_COLUMNAR_BITS}"
             )
         self.space = space
-        self.overlay = stationary_overlay
-        self._static_keys = (
-            None
-            if stationary_keys is None
-            else np.sort(stationary_keys.astype(_U64, copy=False))
-        )
+        self._members = np.sort(stationary_keys.astype(_U64, copy=False))
         self.replication = replication
-        self.ledger = ledger
         self.store = ColumnarStore(replication)
-        self.publish_count = 0
-        self.batch_publish_count = 0
-        self.resolve_count = 0
 
-    # ------------------------------------------------------------------
-    # Holder selection
-    # ------------------------------------------------------------------
-    @property
-    def _member_keys(self) -> np.ndarray:
-        if self._static_keys is not None:
-            return self._static_keys
-        return self.overlay.keys.astype(_U64, copy=False)
-
-    def _owner_indices(self, keys: np.ndarray) -> np.ndarray:
-        """Sorted member index of each key's responsible owner."""
-        members = self._member_keys
-        if self._static_keys is not None:
-            idx, _ = ring_nearest(members, keys, self.space.bits)
-            return idx
-        owners = np.fromiter(
-            (self.overlay.owner_of(int(k)) for k in keys), dtype=_U64, count=keys.size
-        )
-        return np.searchsorted(members, owners).astype(_I64)
-
-    def holders_matrix(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def holders_matrix(self, keys: np.ndarray) -> Tuple[np.ndarray, int]:
         """Vectorised holder sets: ``(holders (Q, count), count)``."""
-        members = self._member_keys
-        owner_idx = self._owner_indices(keys)
-        mat = expand_holders(members, owner_idx, self.replication)
+        owner_idx, _ = ring_nearest(self._members, keys, self.space.bits)
+        mat = expand_holders(self._members, owner_idx, self.replication)
         return mat, mat.shape[1]
-
-    def holders_for(self, key: int) -> List[int]:
-        """Stationary nodes storing ``key``'s record (owner + neighbours)."""
-        mat, _ = self.holders_matrix(np.asarray([key], dtype=_U64))
-        return [int(h) for h in mat[0]]
-
-    def holders_for_many(self, keys) -> Dict[int, List[int]]:
-        """Batched :meth:`holders_for` (same shape as the oracle's)."""
-        key_list = [int(k) for k in keys]
-        if not key_list:
-            return {}
-        mat, _ = self.holders_matrix(np.asarray(key_list, dtype=_U64))
-        return {
-            k: [int(h) for h in mat[i]] for i, k in enumerate(key_list)
-        }
-
-    # ------------------------------------------------------------------
-    # Publish / resolve / withdraw
-    # ------------------------------------------------------------------
-    def _publish_batch(
-        self, items: List[Tuple[int, "NetworkAddress"]], now: float, ttl: float
-    ) -> Tuple[np.ndarray, int]:
-        """Vectorised store update for ascending ``(key, addr)`` pairs;
-        returns the holder matrix and per-row holder count."""
-        keys = np.asarray([k for k, _ in items], dtype=_U64)
-        mat, count = self.holders_matrix(keys)
-        b = len(items)
-        self.store.upsert(
-            keys=keys,
-            router=np.asarray([a.router for _, a in items], dtype=_I64),
-            port=np.asarray([a.port for _, a in items], dtype=_I64),
-            epoch=np.asarray([a.epoch for _, a in items], dtype=_I64),
-            published=np.full(b, float(now), dtype=_F64),
-            ttl=np.full(b, float(ttl), dtype=_F64),
-            holders=mat,
-            holder_count=np.full(b, count, dtype=_I64),
-        )
-        if self.ledger is not None:
-            self.ledger.add_many("registrations", mat.reshape(-1).tolist())
-        return mat, count
-
-    def publish(self, key: int, addr, now: float, ttl: float) -> List[int]:
-        """Store ``key → addr`` at every holder; returns the holder keys."""
-        mat, _ = self._publish_batch([(int(key), addr)], now, ttl)
-        self.publish_count += 1
-        return [int(h) for h in mat[0]]
-
-    def publish_many(self, updates, now: float, ttl: float):
-        """Batched publish, same result contract as the oracle's."""
-        from ..core.location import BatchPublishResult
-
-        items = sorted((int(k), addr) for k, addr in updates.items())
-        mat, _ = self._publish_batch(items, now, ttl)
-        holders_map: Dict[int, List[int]] = {}
-        holder_batches: Dict[int, List[int]] = {}
-        for i, (key, _) in enumerate(items):
-            row = [int(h) for h in mat[i]]
-            holders_map[key] = row
-            for h in row:
-                holder_batches.setdefault(h, []).append(key)
-        self.publish_count += len(items)
-        self.batch_publish_count += 1
-        return BatchPublishResult(holders=holders_map, holder_batches=holder_batches)
-
-    def _address_at(self, row: int):
-        from ..net.address import NetworkAddress
-
-        return NetworkAddress(
-            router=int(self.store.router[row]),
-            port=int(self.store.port[row]),
-            epoch=int(self.store.epoch[row]),
-        )
-
-    def resolve(self, key: int, now: float):
-        """Freshest record among ``key``'s *current* holders.
-
-        All replicas of a key share one record, so this reduces to: the
-        row exists, its lease is fresh, and at least one of the holders
-        that store it is still a current holder for the key.
-        """
-        self.resolve_count += 1
-        rows, hit = self.store.resolve_many(np.asarray([key], dtype=_U64), now)
-        if not bool(hit[0]):
-            return None
-        row = int(rows[0])
-        stored = set(
-            int(h)
-            for h in self.store.holders[row, : int(self.store.holder_count[row])]
-        )
-        if stored.isdisjoint(self.holders_for(int(key))):
-            return None
-        return self._address_at(row)
-
-    def resolve_at(self, holder: int, key: int, now: float):
-        """Lookup at one specific holder (discovery route terminus)."""
-        rows, hit = self.store.resolve_many(np.asarray([key], dtype=_U64), now)
-        if not bool(hit[0]):
-            return None
-        row = int(rows[0])
-        stored = self.store.holders[row, : int(self.store.holder_count[row])]
-        if not bool(np.any(stored == _U64(int(holder)))):
-            return None
-        return self._address_at(row)
 
     def resolve_array(
         self, keys: np.ndarray, now: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Bulk lookup resolution for the scale engine: one searchsorted
-        over the full key column.  Returns ``(hit, router, port, epoch)``
-        columns; counts every query in ``resolve_count``."""
-        self.resolve_count += int(keys.size)
+        """Bulk lookup resolution: one searchsorted over the full key
+        column.  Returns ``(hit, router, port, epoch)`` columns."""
         rows, hit = self.store.resolve_many(keys, now)
-        router = np.where(hit, self.store.router[rows], -1)
-        port = np.where(hit, self.store.port[rows], -1)
-        epoch = np.where(hit, self.store.epoch[rows], -1)
-        return hit, router, port, epoch
+        found = rows[hit]  # only hit rows index the columns (the store may be empty)
 
-    def withdraw(self, key: int) -> int:
-        """Remove all records for ``key``; returns replicas removed."""
-        counts = self.store.remove(np.asarray([key], dtype=_U64))
-        return int(counts.sum())
+        def column(values: np.ndarray) -> np.ndarray:
+            out = np.full(hit.size, -1, dtype=_I64)
+            out[hit] = values[found]
+            return out
+
+        s = self.store
+        return hit, column(s.router), column(s.port), column(s.epoch)
 
     def withdraw_many(self, keys: np.ndarray) -> int:
         """Bulk withdrawal; returns total replicas removed."""
@@ -649,75 +501,6 @@ class ColumnarDirectory:
         """Drop every record whose lease lapsed before ``now`` — the
         sorted-expiry prefix sweep.  Returns the expired keys, ascending."""
         return [int(k) for k in self.store.expire(now)]
-
-    # ------------------------------------------------------------------
-    # Introspection / maintenance
-    # ------------------------------------------------------------------
-    def records_at(self, holder: int) -> Dict[int, "LocationRecord"]:
-        """All records a holder currently stores (object view for parity
-        with the oracle's per-holder responsibility accounting)."""
-        from ..core.location import LocationRecord
-
-        s = self.store
-        # Only the first holder_count slots of a row are live; the rest is
-        # zero padding that must not match a real holder key of 0.
-        valid = np.arange(s.holders.shape[1])[None, :] < s.holder_count[:, None]
-        mask = np.any((s.holders == _U64(int(holder))) & valid, axis=1)
-        out: Dict[int, LocationRecord] = {}
-        for row in np.nonzero(mask)[0]:
-            r = int(row)
-            key = int(s.keys[r])
-            out[key] = LocationRecord(
-                key=key,
-                addr=self._address_at(r),
-                published_at=float(s.published[r]),
-                ttl=float(s.ttl[r]),
-            )
-        return out
-
-    def holder_load(self) -> Dict[int, int]:
-        """Record count per stationary holder (live holders only)."""
-        s = self.store
-        if not len(s):
-            return {}
-        valid = np.arange(s.holders.shape[1])[None, :] < s.holder_count[:, None]
-        uniq, counts = np.unique(s.holders[valid], return_counts=True)
-        return {int(k): int(c) for k, c in zip(uniq, counts)}
-
-    def rebalance_after_membership_change(self, all_keys, now: float) -> None:
-        """Re-place every live, fresh record on the holders implied by the
-        current membership (same survivors as the oracle's rebalance)."""
-        s = self.store
-        if not len(s):
-            return
-        keep = s.expiry >= now
-        if all_keys is not None:
-            live = np.asarray(sorted({int(k) for k in all_keys}), dtype=_U64)
-            keep &= np.isin(s.keys, live)
-        cols = s._select(keep)
-        keys = cols["keys"]
-        self.store = ColumnarStore(self.replication)
-        if not keys.size:
-            return
-        mat, count = self.holders_matrix(keys)
-        self.store.upsert(
-            keys=keys,
-            router=cols["router"],
-            port=cols["port"],
-            epoch=cols["epoch"],
-            published=cols["published"],
-            ttl=cols["ttl"],
-            holders=mat,
-            holder_count=np.full(keys.size, count, dtype=_I64),
-        )
-        if self.ledger is not None:
-            self.ledger.add_many("registrations", mat.reshape(-1).tolist())
-
-    def snapshot(self) -> Tuple[tuple, ...]:
-        """Canonical state: (key, holder, router, port, epoch, published,
-        ttl) rows sorted by (key, holder) — must be bit-identical to the
-        oracle's ``LocationDirectory.snapshot`` on any seeded scenario."""
-        return tuple(self.store.snapshot_rows())
 
 
 class StatePairColumns:
@@ -817,8 +600,25 @@ class StatePairColumns:
 
 
 # ----------------------------------------------------------------------
-# Keyspace-sharded million-node scenario
+# Keyspace-sharded million-node scenarios
 # ----------------------------------------------------------------------
+def _check_population(p) -> None:
+    """Up-front checks shared by both shard parameter sets."""
+    if not 1 <= p.key_bits <= MAX_COLUMNAR_BITS:
+        raise ValueError(f"key_bits must be in [1, {MAX_COLUMNAR_BITS}]")
+    if p.num_stationary < 1:
+        raise ValueError("num_stationary must be >= 1")
+    if p.num_mobile < 0 or p.lookups < 0:
+        raise ValueError("num_mobile and lookups must be >= 0")
+    if max(p.num_stationary, p.num_mobile) > 1 << p.key_bits:
+        raise ValueError(
+            f"{max(p.num_stationary, p.num_mobile)} unique keys do not fit "
+            f"in a {p.key_bits}-bit key space"
+        )
+    if not 0 <= p.shard < p.shards:
+        raise ValueError("shard index out of range")
+
+
 @dataclasses.dataclass(frozen=True)
 class ScaleShardParams:
     """One keyspace shard of the churn+traffic scale scenario.
@@ -844,6 +644,11 @@ class ScaleShardParams:
     round_dt: float = 25.0
     registry_size: int = 20
 
+    def __post_init__(self) -> None:
+        _check_population(self)
+        if self.registry_size < 1:
+            raise ValueError("registry_size must be >= 1")
+
 
 @dataclasses.dataclass
 class ScaleShardResult:
@@ -854,7 +659,9 @@ class ScaleShardResult:
 
 
 def _draw_unique_keys(seed: int, name: str, count: int, bits: int) -> np.ndarray:
-    """Sorted unique uint64 keys, deterministic in (seed, name)."""
+    """Sorted unique uint64 keys, deterministic in (seed, name).
+
+    ``count`` must not exceed ``2**bits`` (the parameter classes check)."""
     gen = np.random.default_rng(derive_seed(seed, name))
     size = 1 << bits
     keys = np.unique(gen.integers(0, size, size=count, dtype=_U64))
@@ -864,144 +671,188 @@ def _draw_unique_keys(seed: int, name: str, count: int, bits: int) -> np.ndarray
     return keys[:count]
 
 
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """CSR tree offsets for per-tree registry sizes."""
+    offsets = np.zeros(sizes.size + 1, dtype=_I64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def _capacity(hashed: np.ndarray) -> np.ndarray:
+    """Hashed capacity in 1..15 (the scale scenarios' ``Avail`` law)."""
+    return ((hashed % _U64(15)) + _U64(1)).astype(_F64)
+
+
+class _Shard:
+    """The steps both shard runners share, over one keyspace shard.
+
+    ``tag`` names the scenario in every hash salt and stream name, so the
+    two scenarios draw independent populations from the same seed.
+    """
+
+    def __init__(self, p, tag: str) -> None:
+        from ..overlay.keyspace import KeySpace
+
+        self.p = p
+        self.tag = tag
+        stationary = _draw_unique_keys(
+            p.seed, f"{tag}|stationary", p.num_stationary, p.key_bits
+        )
+        self.mobile = _draw_unique_keys(
+            p.seed, f"{tag}|mobile", p.num_mobile, p.key_bits
+        )
+        # Keyspace sharding: a mobile key belongs to the shard owning its
+        # ring position, a pure function of (key, membership) —
+        # shard-invariant.
+        pos = np.searchsorted(stationary, self.mobile) % p.num_stationary
+        self.shard_of = (pos.astype(_I64) * p.shards) // p.num_stationary
+        self.mine = self.shard_of == p.shard
+        self.keys = self.mobile[self.mine]
+        digit_bits = 4 if p.key_bits % 4 == 0 else 1
+        self.directory = ColumnarDirectory(
+            KeySpace(bits=p.key_bits, digit_bits=digit_bits),
+            stationary_keys=stationary,
+            replication=p.replication,
+        )
+        self.h_attr = self.hash(self.keys, "attrs")
+        self.ttl = (
+            p.base_ttl * (1.0 + (self.h_attr >> _U64(16)) % _U64(3)).astype(_F64) / 2.0
+        )
+        self.stats = {
+            "keys": int(self.keys.size),
+            "published": 0,
+            "expired": 0,
+            "lookups": 0,
+            "hits": 0,
+            "replica_messages": 0,
+            "ldt_trees": 0,
+            "ldt_messages": 0,
+            "ldt_depth_sum": 0,
+            "multicast_deliveries": 0,
+        }
+
+    def hash(self, values: np.ndarray, name: str) -> np.ndarray:
+        """Per-value hash salted by ``(seed, tag, name)``."""
+        return mix64(values, derive_seed(self.p.seed, f"{self.tag}|{name}"))
+
+    def lookup_rounds(self, target_idx: np.ndarray) -> np.ndarray:
+        """Round of each global lookup, or -1 for another shard's."""
+        p = self.p
+        rounds = (np.arange(p.lookups, dtype=_I64) * p.rounds) // max(p.lookups, 1)
+        return np.where(self.shard_of[target_idx] == p.shard, rounds, -1)
+
+    def publish(self, batch: np.ndarray, now: float, epoch: int) -> None:
+        """Batched publish of ``batch`` (ascending shard keys) with hashed
+        addresses and the keys' lease TTLs."""
+        if not batch.size:
+            return
+        hb = self.hash(batch, "addr")
+        mat, count = self.directory.holders_matrix(batch)
+        self.directory.store.upsert(
+            keys=batch,
+            router=(hb & _U64(0xFFFF)).astype(_I64),
+            port=((hb >> _U64(16)) & _U64(0xFFFF)).astype(_I64),
+            epoch=np.full(batch.size, epoch, dtype=_I64),
+            published=np.full(batch.size, now, dtype=_F64),
+            ttl=self.ttl[np.searchsorted(self.keys, batch)],
+            holders=mat,
+            holder_count=np.full(batch.size, count, dtype=_I64),
+        )
+        self.stats["published"] += int(batch.size)
+        self.stats["replica_messages"] += int(batch.size) * count
+
+    def expire(self, now: float) -> None:
+        """One-pass TTL sweep of the shard's store."""
+        self.stats["expired"] += len(self.directory.expire_leases(now))
+
+    def advertise(
+        self, offsets: np.ndarray, member_avail: np.ndarray, root_avail: np.ndarray
+    ) -> None:
+        """Materialise a batch of Fig-4 trees as one columnar forest
+        (:func:`repro.core.ldt_forest.build_forest_columns`) and count
+        the multicast wave: every member row is one delivery."""
+        trees = offsets.size - 1
+        if not trees:
+            return
+        unit = np.ones(trees, dtype=_F64)
+        level, assigned, parent_row = build_forest_columns(
+            offsets, member_avail, root_avail, unit
+        )
+        self.stats["ldt_trees"] += trees
+        self.stats["ldt_messages"] += int(offsets[-1])
+        self.stats["ldt_depth_sum"] += int(forest_depths(offsets, level).sum())
+        self.stats["multicast_deliveries"] += int(level.size)
+        if _sanitize.ACTIVE:
+            _sanitize.check_ldt_forest(
+                forest_from_columns(
+                    offsets, member_avail, root_avail, unit,
+                    level, assigned, parent_row,
+                )
+            )
+
+    def lookup(self, q_idx: np.ndarray, now: float) -> None:
+        """Resolve the mobile keys at ``q_idx`` half a round after ``now``."""
+        if not q_idx.size:
+            return
+        hit, _, _, _ = self.directory.resolve_array(
+            self.mobile[q_idx], now + self.p.round_dt / 2.0
+        )
+        self.stats["lookups"] += int(q_idx.size)
+        self.stats["hits"] += int(hit.sum())
+
+    def result(self) -> ScaleShardResult:
+        """The shard's stats and final store rows."""
+        return ScaleShardResult(
+            stats=self.stats, rows=self.directory.store.snapshot_rows()
+        )
+
+
 def run_scale_shard(p: ScaleShardParams) -> ScaleShardResult:
     """Run one keyspace shard of the scale scenario, fully vectorised.
 
-    Per round: a one-pass TTL expiry sweep, a batched republish of every
-    mobile key whose (key-hashed) schedule says it moves, a batched
-    withdrawal of leaving keys, the Fig-4 advertisement trees of the
-    movers materialised as one columnar forest
-    (:func:`repro.core.ldt_forest.build_forest_columns`), and this
-    shard's slice of the global lookup stream resolved in one kernel
-    call.
+    Per round: a one-pass TTL expiry sweep, a batched withdrawal of
+    leaving keys, a batched republish of every mobile key whose
+    (key-hashed) schedule says it moves, the Fig-4 advertisement trees of
+    the movers materialised as one columnar forest, and this shard's
+    slice of the global lookup stream resolved in one kernel call.
     """
-    if not 0 <= p.shard < p.shards:
-        raise ValueError("shard index out of range")
-    from ..overlay.keyspace import KeySpace
-
-    digit_bits = 4 if p.key_bits % 4 == 0 else 1
-    space = KeySpace(bits=p.key_bits, digit_bits=digit_bits)
-    stationary = _draw_unique_keys(p.seed, "scale|stationary", p.num_stationary, p.key_bits)
-    mobile = _draw_unique_keys(p.seed, "scale|mobile", p.num_mobile, p.key_bits)
-
-    # Keyspace sharding: a mobile key belongs to the shard owning its ring
-    # position, a pure function of (key, membership) — shard-invariant.
-    pos = np.searchsorted(stationary, mobile) % p.num_stationary  # ring wrap
-    shard_of = (pos.astype(np.int64) * p.shards) // p.num_stationary
-    mine = shard_of == p.shard
-    keys = mobile[mine]
-
-    directory = ColumnarDirectory(
-        space,
-        stationary_keys=stationary,
-        replication=p.replication,
-    )
-
-    # Per-key event schedules, hashed from the keys themselves.
-    h_move = mix64(keys, derive_seed(p.seed, "scale|moves"))
-    h_attr = mix64(keys, derive_seed(p.seed, "scale|attrs"))
-    move_mask = h_move  # bit r set → the key republishes in round r
-    leaves = (h_attr % _U64(8)) == 0  # ~1/8 of keys leave mid-run
-    leave_round = ((h_attr >> _U64(8)) % _U64(max(p.rounds, 1))).astype(_I64)
-    ttl = p.base_ttl * (1.0 + (h_attr >> _U64(16)) % _U64(3)).astype(_F64) / 2.0
+    shard = _Shard(p, "scale")
+    keys = shard.keys
+    shard.stats["withdrawn"] = 0
+    move_mask = shard.hash(keys, "moves")  # bit r set → republish in round r
+    leaves = (shard.h_attr % _U64(8)) == 0  # ~1/8 of keys leave mid-run
+    leave_round = ((shard.h_attr >> _U64(8)) % _U64(max(p.rounds, 1))).astype(_I64)
 
     # The global lookup stream (every shard derives the same one and keeps
     # its own targets, so any partition replays the serial stream).
     lgen = np.random.default_rng(derive_seed(p.seed, "scale|lookups"))
     target_idx = lgen.integers(0, p.num_mobile, size=p.lookups)
-    lookup_round = (np.arange(p.lookups, dtype=_I64) * p.rounds) // max(p.lookups, 1)
-    target_keys = mobile[target_idx]
-    lk_mine = shard_of[target_idx] == p.shard
-
-    stats = {
-        "keys": int(keys.size),
-        "published": 0,
-        "expired": 0,
-        "withdrawn": 0,
-        "lookups": 0,
-        "hits": 0,
-        "replica_messages": 0,
-        "ldt_trees": 0,
-        "ldt_messages": 0,
-        "ldt_depth_sum": 0,
-        "multicast_deliveries": 0,
-    }
-
-    def publish_batch(batch: np.ndarray, now: float, epoch_val: int) -> None:
-        if not batch.size:
-            return
-        hb = mix64(batch, derive_seed(p.seed, "scale|addr"))
-        items_router = (hb & _U64(0xFFFF)).astype(_I64)
-        items_port = ((hb >> _U64(16)) & _U64(0xFFFF)).astype(_I64)
-        mat, count = directory.holders_matrix(batch)
-        bt = ttl[np.searchsorted(keys, batch)]
-        directory.store.upsert(
-            keys=batch,
-            router=items_router,
-            port=items_port,
-            epoch=np.full(batch.size, epoch_val, dtype=_I64),
-            published=np.full(batch.size, now, dtype=_F64),
-            ttl=bt,
-            holders=mat,
-            holder_count=np.full(batch.size, count, dtype=_I64),
-        )
-        directory.publish_count += int(batch.size)
-        stats["published"] += int(batch.size)
-        stats["replica_messages"] += int(batch.size) * count
+    lookup_round = shard.lookup_rounds(target_idx)
 
     departed = np.zeros(keys.size, dtype=bool)
-    publish_batch(keys, 0.0, 0)
+    shard.publish(keys, 0.0, 0)
 
     for r in range(p.rounds):
         now = (r + 1) * p.round_dt
-        stats["expired"] += len(directory.expire_leases(now))
+        shard.expire(now)
 
         leave_now = leaves & (leave_round == r) & ~departed
         if np.any(leave_now):
-            stats["withdrawn"] += directory.withdraw_many(keys[leave_now])
+            shard.stats["withdrawn"] += shard.directory.withdraw_many(keys[leave_now])
             departed |= leave_now
 
-        movers = (
-            ((move_mask >> _U64(r % 64)) & _U64(1)).astype(bool) & ~departed
-        )
+        movers = ((move_mask >> _U64(r % 64)) & _U64(1)).astype(bool) & ~departed
         move_keys = keys[movers]
-        publish_batch(move_keys, now, r + 1)
-        if move_keys.size:
-            # Materialised columnar LDTs (one forest per move batch): the
-            # uniform-capacity registries of the scale scenario keep the
-            # closed-form ``ldt_fanout`` as a parity oracle — messages are
-            # always R and the forest's depths match it bit-identically.
-            hc = mix64(move_keys, derive_seed(p.seed, "scale|caps"))
-            caps = ((hc % _U64(15)) + _U64(1)).astype(_F64)
-            sizes = np.full(move_keys.size, p.registry_size, dtype=_I64)
-            offsets = np.zeros(move_keys.size + 1, dtype=_I64)
-            np.cumsum(sizes, out=offsets[1:])
-            member_avail = np.repeat(caps, sizes)
-            unit = np.ones(move_keys.size, dtype=_F64)
-            level, assigned, parent_row = build_forest_columns(
-                offsets, member_avail, caps, unit
-            )
-            stats["ldt_trees"] += int(move_keys.size)
-            stats["ldt_messages"] += int(sizes.sum())
-            stats["ldt_depth_sum"] += int(forest_depths(offsets, level).sum())
-            # Every member receives the advertisement exactly once.
-            stats["multicast_deliveries"] += int(level.size)
-            if _sanitize.ACTIVE:
-                _sanitize.check_ldt_forest(
-                    forest_from_columns(
-                        offsets, member_avail, caps, unit,
-                        level, assigned, parent_row,
-                    )
-                )
+        shard.publish(move_keys, now, r + 1)
+        # Uniform-capacity registries: the closed-form ``ldt_fanout``
+        # stays a parity oracle for these trees' depths.
+        caps = _capacity(shard.hash(move_keys, "caps"))
+        sizes = np.full(move_keys.size, p.registry_size, dtype=_I64)
+        shard.advertise(_offsets(sizes), np.repeat(caps, sizes), caps)
 
-        in_round = lookup_round == r
-        q = target_keys[lk_mine & in_round]
-        if q.size:
-            hit, _, _, _ = directory.resolve_array(q, now + p.round_dt / 2.0)
-            stats["lookups"] += int(q.size)
-            stats["hits"] += int(hit.sum())
+        shard.lookup(target_idx[lookup_round == r], now)
 
-    return ScaleShardResult(stats=stats, rows=directory.store.snapshot_rows())
+    return shard.result()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1035,6 +886,11 @@ class TrafficMixParams:
     min_registry: int = 4
     max_registry: int = 64
 
+    def __post_init__(self) -> None:
+        _check_population(self)
+        if not 1 <= self.min_registry <= self.max_registry:
+            raise ValueError("need 1 <= min_registry <= max_registry")
+
 
 def run_traffic_shard(p: TrafficMixParams) -> ScaleShardResult:
     """Run one keyspace shard of the Zipf traffic mix, fully vectorised.
@@ -1044,144 +900,67 @@ def run_traffic_shard(p: TrafficMixParams) -> ScaleShardResult:
     wave — every member row is one delivery), and this shard's slice of
     the popularity-weighted lookup stream.
     """
-    if not 0 <= p.shard < p.shards:
-        raise ValueError("shard index out of range")
-    from ..overlay.keyspace import KeySpace
-
-    digit_bits = 4 if p.key_bits % 4 == 0 else 1
-    space = KeySpace(bits=p.key_bits, digit_bits=digit_bits)
-    stationary = _draw_unique_keys(
-        p.seed, "traffic|stationary", p.num_stationary, p.key_bits
-    )
-    mobile = _draw_unique_keys(p.seed, "traffic|mobile", p.num_mobile, p.key_bits)
-
-    pos = np.searchsorted(stationary, mobile) % p.num_stationary
-    shard_of = (pos.astype(_I64) * p.shards) // p.num_stationary
-    mine = shard_of == p.shard
-    keys = mobile[mine]
+    shard = _Shard(p, "traffic")
+    keys = shard.keys
+    shard.stats["hot_lookups"] = 0
 
     # Popularity: rank 0 is the hottest key.  The rank permutation is
     # hashed from the key population itself, so it is shard-invariant.
     rank = np.empty(p.num_mobile, dtype=_I64)
-    rank[np.argsort(mix64(mobile, derive_seed(p.seed, "traffic|rank")), kind="stable")] = (
-        np.arange(p.num_mobile, dtype=_I64)
+    rank[np.argsort(shard.hash(shard.mobile, "rank"), kind="stable")] = np.arange(
+        p.num_mobile, dtype=_I64
     )
     # Advertisement skew: popular keys accumulate more interested nodes.
     registry_sizes = np.maximum(
         np.int64(p.min_registry),
         (p.max_registry / np.sqrt(rank + 1.0)).astype(_I64),
     )
-    reg_sizes = registry_sizes[mine]
-
-    directory = ColumnarDirectory(
-        space, stationary_keys=stationary, replication=p.replication
-    )
-
-    h_move = mix64(keys, derive_seed(p.seed, "traffic|moves"))
-    h_attr = mix64(keys, derive_seed(p.seed, "traffic|attrs"))
-    ttl = p.base_ttl * (1.0 + (h_attr >> _U64(16)) % _U64(3)).astype(_F64) / 2.0
+    reg_sizes = registry_sizes[shard.mine]
+    h_move = shard.hash(keys, "moves")
 
     # Lookup skew: the global stream draws targets Zipf(s) by rank.
     weights = (rank.astype(_F64) + 1.0) ** (-p.zipf_s)
     weights /= weights.sum()
     lgen = np.random.default_rng(derive_seed(p.seed, "traffic|lookups"))
     target_idx = lgen.choice(p.num_mobile, size=p.lookups, p=weights)
-    lookup_round = (np.arange(p.lookups, dtype=_I64) * p.rounds) // max(p.lookups, 1)
-    target_keys = mobile[target_idx]
-    lk_mine = shard_of[target_idx] == p.shard
-
-    stats = {
-        "keys": int(keys.size),
-        "published": 0,
-        "expired": 0,
-        "lookups": 0,
-        "hits": 0,
-        "hot_lookups": 0,
-        "replica_messages": 0,
-        "ldt_trees": 0,
-        "ldt_messages": 0,
-        "ldt_depth_sum": 0,
-        "multicast_deliveries": 0,
-    }
+    lookup_round = shard.lookup_rounds(target_idx)
     # Hot-set accounting: lookups landing on the top 1% of ranks.
     hot_cut = max(p.num_mobile // 100, 1)
 
-    def publish_batch(batch: np.ndarray, now: float, epoch_val: int) -> None:
-        if not batch.size:
-            return
-        hb = mix64(batch, derive_seed(p.seed, "traffic|addr"))
-        mat, count = directory.holders_matrix(batch)
-        directory.store.upsert(
-            keys=batch,
-            router=(hb & _U64(0xFFFF)).astype(_I64),
-            port=((hb >> _U64(16)) & _U64(0xFFFF)).astype(_I64),
-            epoch=np.full(batch.size, epoch_val, dtype=_I64),
-            published=np.full(batch.size, now, dtype=_F64),
-            ttl=ttl[np.searchsorted(keys, batch)],
-            holders=mat,
-            holder_count=np.full(batch.size, count, dtype=_I64),
-        )
-        directory.publish_count += int(batch.size)
-        stats["published"] += int(batch.size)
-        stats["replica_messages"] += int(batch.size) * count
-
-    def advertise_batch(batch: np.ndarray) -> None:
-        """Materialise the movers' LDTs as one columnar forest."""
-        if not batch.size:
-            return
+    def advertise(batch: np.ndarray) -> None:
+        """The movers' trees, with per-member hashed capacities."""
         sz = reg_sizes[np.searchsorted(keys, batch)]
-        offsets = np.zeros(batch.size + 1, dtype=_I64)
-        np.cumsum(sz, out=offsets[1:])
-        total = int(offsets[-1])
-        base = mix64(batch, derive_seed(p.seed, "traffic|members"))
+        offsets = _offsets(sz)
+        base = shard.hash(batch, "members")
         with np.errstate(over="ignore"):
             member_slot = (
                 np.repeat(base, sz)
-                + np.arange(total, dtype=_U64)
+                + np.arange(int(offsets[-1]), dtype=_U64)
                 - np.repeat(offsets[:-1].astype(_U64), sz)
             )
-        hm = mix64(member_slot, derive_seed(p.seed, "traffic|mcaps"))
-        member_avail = ((hm % _U64(15)) + _U64(1)).astype(_F64)
-        hr = mix64(batch, derive_seed(p.seed, "traffic|caps"))
-        root_avail = ((hr % _U64(15)) + _U64(1)).astype(_F64)
-        unit = np.ones(batch.size, dtype=_F64)
-        level, assigned, parent_row = build_forest_columns(
-            offsets, member_avail, root_avail, unit
+        shard.advertise(
+            offsets,
+            _capacity(shard.hash(member_slot, "mcaps")),
+            _capacity(shard.hash(batch, "caps")),
         )
-        stats["ldt_trees"] += int(batch.size)
-        stats["ldt_messages"] += total
-        stats["ldt_depth_sum"] += int(forest_depths(offsets, level).sum())
-        stats["multicast_deliveries"] += total
-        if _sanitize.ACTIVE:
-            _sanitize.check_ldt_forest(
-                forest_from_columns(
-                    offsets, member_avail, root_avail, unit,
-                    level, assigned, parent_row,
-                )
-            )
 
-    publish_batch(keys, 0.0, 0)
-    advertise_batch(keys)
+    shard.publish(keys, 0.0, 0)
+    advertise(keys)
 
     for r in range(p.rounds):
         now = (r + 1) * p.round_dt
-        stats["expired"] += len(directory.expire_leases(now))
+        shard.expire(now)
 
         movers = ((h_move >> _U64(r % 64)) & _U64(1)).astype(bool)
         move_keys = keys[movers]
-        publish_batch(move_keys, now, r + 1)
-        advertise_batch(move_keys)
+        shard.publish(move_keys, now, r + 1)
+        advertise(move_keys)
 
-        in_round = lookup_round == r
-        q_idx = target_idx[lk_mine & in_round]
-        if q_idx.size:
-            q = mobile[q_idx]
-            hit, _, _, _ = directory.resolve_array(q, now + p.round_dt / 2.0)
-            stats["lookups"] += int(q_idx.size)
-            stats["hits"] += int(hit.sum())
-            stats["hot_lookups"] += int((rank[q_idx] < hot_cut).sum())
+        q_idx = target_idx[lookup_round == r]
+        shard.lookup(q_idx, now)
+        shard.stats["hot_lookups"] += int((rank[q_idx] < hot_cut).sum())
 
-    return ScaleShardResult(stats=stats, rows=directory.store.snapshot_rows())
+    return shard.result()
 
 
 def merge_shard_results(

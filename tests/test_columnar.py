@@ -25,7 +25,7 @@ from repro.experiments.manifest import (
     validate_manifest,
 )
 from repro.net.address import NetworkAddress
-from repro.overlay import OVERLAY_NAMES, KeySpace, make_overlay
+from repro.overlay import KeySpace, make_overlay
 from repro.overlay.state import StatePair, StateTable
 from repro.sim import RngStreams
 from repro.sim.columnar import (
@@ -167,114 +167,49 @@ class TestExpiryHeap:
 
 
 # ----------------------------------------------------------------------
-# Directory parity: randomized interleavings, all five overlays
+# Store parity: the scale engine's directory vs the object oracle
 # ----------------------------------------------------------------------
+#: Overlays that store a key at its ring-nearest member — the owner rule
+#: of the array-mode directory's ``ring_nearest`` kernel.
+RING_NEAREST_OVERLAYS = ("pastry", "tornado")
+
+
 def _build_pair(space, name: str, seed: int, members: int = 48):
     rng = RngStreams(seed)
     keys = sorted(int(k) for k in space.random_keys(rng, f"members|{name}", members))
     ov = make_overlay(name, space)
     ov.build(keys)
     oracle = LocationDirectory(space, ov, replication=3)
-    columnar = ColumnarDirectory(space, ov, replication=3)
-    return ov, oracle, columnar
-
-
-def _assert_same_state(oracle, columnar, ov, now):
-    assert columnar.snapshot() == oracle.snapshot()
-    assert snapshot_checksum(list(columnar.snapshot())) == snapshot_checksum(
-        list(oracle.snapshot())
+    columnar = ColumnarDirectory(
+        space, stationary_keys=np.asarray(keys, dtype=np.uint64), replication=3
     )
-    # The oracle keeps empty per-holder dicts for holders that lost all
-    # records; the columnar store reports live holders only.
-    oracle_load = {h: c for h, c in oracle.holder_load().items() if c}
-    assert columnar.holder_load() == oracle_load
-    for h in list(oracle_load)[:5]:
-        o_recs = oracle.records_at(h)
-        c_recs = columnar.records_at(h)
-        assert sorted(c_recs) == sorted(o_recs)
-        for k in o_recs:
-            assert c_recs[k].addr == o_recs[k].addr
-            assert c_recs[k].published_at == o_recs[k].published_at
+    return oracle, columnar
 
 
-@pytest.mark.parametrize("overlay_name", OVERLAY_NAMES)
-def test_directory_parity_randomized(space, overlay_name):
-    ov, oracle, columnar = _build_pair(space, overlay_name, seed=321)
-    gen = np.random.default_rng(99)
-    population = [int(k) for k in gen.integers(0, 1 << 32, size=120, dtype=np.uint64)]
-    now = 0.0
-    for step in range(250):
-        now += float(gen.uniform(0.0, 4.0))
-        op = int(gen.integers(0, 6))
-        if op == 0:
-            k = population[int(gen.integers(len(population)))]
-            a = addr(gen)
-            ttl = float(gen.uniform(5.0, 40.0))
-            assert columnar.publish(k, a, now=now, ttl=ttl) == oracle.publish(
-                k, a, now=now, ttl=ttl
-            )
-        elif op == 1:
-            count = int(gen.integers(1, 12))
-            picks = gen.choice(len(population), size=count, replace=False)
-            updates = {population[int(i)]: addr(gen) for i in picks}
-            ttl = float(gen.uniform(5.0, 40.0))
-            got = columnar.publish_many(updates, now=now, ttl=ttl)
-            want = oracle.publish_many(updates, now=now, ttl=ttl)
-            assert got.holders == want.holders
-            assert got.holder_batches == want.holder_batches
-            assert got.message_count == want.message_count
-        elif op == 2:
-            k = population[int(gen.integers(len(population)))]
-            assert columnar.withdraw(k) == oracle.withdraw(k)
-        elif op == 3:
-            assert columnar.expire_leases(now) == oracle.expire_leases(now)
-        elif op == 4:
-            k = population[int(gen.integers(len(population)))]
-            assert columnar.resolve(k, now) == oracle.resolve(k, now)
-            h = oracle.holders_for(k)[0]
-            assert columnar.resolve_at(h, k, now) == oracle.resolve_at(h, k, now)
-        else:
-            assert columnar.holders_for_many(population[:7]) == oracle.holders_for_many(
-                population[:7]
-            )
-        if step % 25 == 0:
-            _assert_same_state(oracle, columnar, ov, now)
-    _assert_same_state(oracle, columnar, ov, now)
-    assert columnar.publish_count == oracle.publish_count
-    assert columnar.batch_publish_count == oracle.batch_publish_count
+def _publish(columnar, updates, now: float, ttl: float):
+    """Batched publish through the store, as the shard runners do."""
+    keys = np.asarray(sorted(updates), dtype=np.uint64)
+    addrs = [updates[int(k)] for k in keys]
+    mat, count = columnar.holders_matrix(keys)
+    columnar.store.upsert(
+        keys=keys,
+        router=np.asarray([a.router for a in addrs], dtype=np.int64),
+        port=np.asarray([a.port for a in addrs], dtype=np.int64),
+        epoch=np.asarray([a.epoch for a in addrs], dtype=np.int64),
+        published=np.full(keys.size, now),
+        ttl=np.full(keys.size, ttl),
+        holders=mat,
+        holder_count=np.full(keys.size, count, dtype=np.int64),
+    )
+    return {int(k): [int(h) for h in mat[i]] for i, k in enumerate(keys)}
 
 
-def test_directory_parity_through_rebalance(space):
-    ov, oracle, columnar = _build_pair(space, "chord", seed=77)
-    gen = np.random.default_rng(7)
-    population = [int(k) for k in gen.integers(0, 1 << 32, size=60, dtype=np.uint64)]
-    for k in population:
-        a = addr(gen)
-        oracle.publish(k, a, now=1.0, ttl=30.0)
-        columnar.publish(k, a, now=1.0, ttl=30.0)
-    # Stationary churn: add + drop members, then rebalance both stores
-    # against the surviving keys at a time where some leases lapsed.
-    ov.add_node(123456789)
-    ov.remove_node(ov.keys_list()[0] if hasattr(ov, "keys_list") else int(ov.keys[0]))
-    live = population[:40]
-    oracle.rebalance_after_membership_change(live, now=20.0)
-    columnar.rebalance_after_membership_change(live, now=20.0)
-    assert columnar.snapshot() == oracle.snapshot()
-    oracle_load = {h: c for h, c in oracle.holder_load().items() if c}
-    assert columnar.holder_load() == oracle_load
-
-
-def test_resolve_array_matches_scalar(space):
-    ov, oracle, columnar = _build_pair(space, "pastry", seed=13)
-    gen = np.random.default_rng(5)
-    population = np.unique(gen.integers(0, 1 << 32, size=80, dtype=np.uint64))
-    for k in population[:50]:
-        a = addr(gen)
-        oracle.publish(int(k), a, now=0.0, ttl=15.0)
-        columnar.publish(int(k), a, now=0.0, ttl=15.0)
-    hit, router, port, epoch = columnar.resolve_array(population, 10.0)
-    for i, k in enumerate(population):
-        want = oracle.resolve(int(k), 10.0)
+def _assert_resolves_alike(oracle, columnar, keys, now: float):
+    hit, router, port, epoch = columnar.resolve_array(
+        np.asarray(keys, dtype=np.uint64), now
+    )
+    for i, k in enumerate(keys):
+        want = oracle.resolve(int(k), now)
         if want is None:
             assert not hit[i]
         else:
@@ -284,6 +219,84 @@ def test_resolve_array_matches_scalar(space):
                 want.port,
                 want.epoch,
             )
+
+
+@pytest.mark.parametrize("overlay_name", RING_NEAREST_OVERLAYS)
+def test_directory_parity_randomized(space, overlay_name):
+    oracle, columnar = _build_pair(space, overlay_name, seed=321)
+    gen = np.random.default_rng(99)
+    population = [int(k) for k in gen.integers(0, 1 << 32, size=120, dtype=np.uint64)]
+    now = 0.0
+    for step in range(250):
+        now += float(gen.uniform(0.0, 4.0))
+        op = int(gen.integers(0, 5))
+        if op == 0:
+            k = population[int(gen.integers(len(population)))]
+            a = addr(gen)
+            ttl = float(gen.uniform(5.0, 40.0))
+            got = _publish(columnar, {k: a}, now, ttl)
+            assert got[k] == oracle.publish(k, a, now=now, ttl=ttl)
+        elif op == 1:
+            count = int(gen.integers(1, 12))
+            picks = gen.choice(len(population), size=count, replace=False)
+            updates = {population[int(i)]: addr(gen) for i in picks}
+            ttl = float(gen.uniform(5.0, 40.0))
+            got = _publish(columnar, updates, now, ttl)
+            assert got == oracle.publish_many(updates, now=now, ttl=ttl).holders
+        elif op == 2:
+            count = int(gen.integers(1, 4))
+            picks = sorted({population[int(i)] for i in gen.integers(0, 120, size=count)})
+            want = sum(oracle.withdraw(k) for k in picks)
+            assert columnar.withdraw_many(np.asarray(picks, dtype=np.uint64)) == want
+        elif op == 3:
+            assert columnar.expire_leases(now) == oracle.expire_leases(now)
+        else:
+            _assert_resolves_alike(oracle, columnar, population[:30], now)
+        if step % 25 == 0:
+            assert tuple(columnar.store.snapshot_rows()) == oracle.snapshot()
+    assert tuple(columnar.store.snapshot_rows()) == oracle.snapshot()
+    assert snapshot_checksum(columnar.store.snapshot_rows()) == snapshot_checksum(
+        list(oracle.snapshot())
+    )
+
+
+def test_resolve_array_matches_scalar(space):
+    oracle, columnar = _build_pair(space, "pastry", seed=13)
+    gen = np.random.default_rng(5)
+    population = np.unique(gen.integers(0, 1 << 32, size=80, dtype=np.uint64))
+    for step, k in enumerate(population[:50]):
+        a = addr(gen)
+        ttl = 15.0 if step % 2 else 40.0
+        oracle.publish(int(k), a, now=float(step % 3), ttl=ttl)
+        _publish(columnar, {int(k): a}, float(step % 3), ttl)
+    for k in population[40:45]:
+        oracle.withdraw(int(k))
+    columnar.withdraw_many(population[40:45])
+    # Mixed outcome at t=16: fresh, lapsed-but-unswept, withdrawn, absent.
+    _assert_resolves_alike(oracle, columnar, population, 16.0)
+    assert columnar.expire_leases(16.0) == oracle.expire_leases(16.0)
+    _assert_resolves_alike(oracle, columnar, population, 16.0)
+
+
+def test_shared_multicast_hops_accounting():
+    net = BristleNetwork(
+        BristleConfig(seed=23, naming="clustered"),
+        num_stationary=50,
+        num_mobile=30,
+        router_count=100,
+    )
+    ov = net.stationary_layer
+    holders = net.directory.holders_for_many(net.mobile_keys[:6])
+    distinct = sorted({h for hs in holders.values() for h in hs})
+    entry = ov.owner_of(net.mobile_keys[0])
+    shared = shared_multicast_hops(ov, distinct, entry=entry)
+    per_holder = sum(ov.route(entry, h).hop_count for h in distinct)
+    assert shared >= 0
+    # One traversal plus near-neighbour legs never exceeds one full
+    # traversal per holder.
+    assert shared <= max(per_holder, len(distinct))
+    assert shared == shared_multicast_hops(ov, distinct, entry=entry)
+    assert shared_multicast_hops(ov, [], entry=entry) == 0
 
 
 # ----------------------------------------------------------------------
@@ -385,6 +398,46 @@ class TestTrafficMix:
             )
 
 
+_SHARD_BASE = dict(num_stationary=4, num_mobile=10, lookups=10, rounds=2, shard=0, shards=1, seed=1)
+
+
+_BAD_POPULATIONS = [
+    # More unique keys than a 4-bit space holds: used to loop forever.
+    dict(num_mobile=40, key_bits=4),
+    dict(num_stationary=17, key_bits=4),
+    dict(num_stationary=0),
+    dict(num_mobile=-1),
+    dict(lookups=-1),
+    dict(key_bits=64),
+    dict(shard=1),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,overrides",
+    [(cls, o) for cls in (ScaleShardParams, TrafficMixParams) for o in _BAD_POPULATIONS]
+    + [
+        (ScaleShardParams, dict(registry_size=0)),
+        (TrafficMixParams, dict(min_registry=0)),
+        (TrafficMixParams, dict(min_registry=9, max_registry=8)),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(
+        f"{k}={x}" for k, x in v.items()
+    ),
+)
+def test_shard_params_validated_up_front(cls, overrides):
+    with pytest.raises(ValueError):
+        cls(**{**_SHARD_BASE, **overrides})
+
+
+def test_shard_params_at_key_space_limit_run():
+    # Exactly 2**key_bits keys is the largest population that fits.
+    p = ScaleShardParams(**{**_SHARD_BASE, "num_mobile": 16, "key_bits": 4})
+    assert run_scale_shard(p).stats["keys"] == 16
+    t = TrafficMixParams(**{**_SHARD_BASE, "num_stationary": 16, "key_bits": 4})
+    assert run_traffic_shard(t).stats["keys"] == 10
+
+
 # ----------------------------------------------------------------------
 # State-pair columns bridge
 # ----------------------------------------------------------------------
@@ -445,56 +498,6 @@ class TestStatePairColumns:
         survivors = cols.expire(101.0)
         assert len(survivors) == 5
         assert sorted(survivors.key.tolist()) == sorted(keys.tolist())
-
-
-# ----------------------------------------------------------------------
-# Network-level backend switch + shared multicast accounting
-# ----------------------------------------------------------------------
-class TestColumnarBackend:
-    def _nets(self):
-        nets = []
-        for columnar in (False, True):
-            cfg = BristleConfig(seed=23, naming="clustered", columnar_directory=columnar)
-            nets.append(
-                BristleNetwork(cfg, num_stationary=50, num_mobile=30, router_count=100)
-            )
-        return nets
-
-    def test_backend_selected_by_config(self):
-        obj_net, col_net = self._nets()
-        assert isinstance(obj_net.directory, LocationDirectory)
-        assert isinstance(col_net.directory, ColumnarDirectory)
-
-    def test_network_parity_and_multicast_accounting(self):
-        obj_net, col_net = self._nets()
-        group = obj_net.mobile_keys[:8]
-        r_obj = obj_net.move_many(group)
-        r_col = col_net.move_many(group)
-        assert r_col.publish.holder_batches == r_obj.publish.holder_batches
-        assert r_col.total_messages == r_obj.total_messages
-        assert r_col.multicast_hops == r_obj.multicast_hops
-        assert r_obj.multicast_hops > 0
-        assert obj_net.directory.snapshot() == col_net.directory.snapshot()
-        src = obj_net.stationary_keys[0]
-        for mk in group[:3]:
-            assert (
-                obj_net.discover(src, mk).found == col_net.discover(src, mk).found
-            )
-
-    def test_shared_multicast_hops_accounting(self):
-        obj_net, _ = self._nets()
-        ov = obj_net.stationary_layer
-        holders = obj_net.directory.holders_for_many(obj_net.mobile_keys[:6])
-        distinct = sorted({h for hs in holders.values() for h in hs})
-        entry = ov.owner_of(obj_net.mobile_keys[0])
-        shared = shared_multicast_hops(ov, distinct, entry=entry)
-        per_holder = sum(ov.route(entry, h).hop_count for h in distinct)
-        assert shared >= 0
-        # One traversal plus near-neighbour legs never exceeds one full
-        # traversal per holder.
-        assert shared <= max(per_holder, len(distinct))
-        assert shared == shared_multicast_hops(ov, distinct, entry=entry)
-        assert shared_multicast_hops(ov, [], entry=entry) == 0
 
 
 # ----------------------------------------------------------------------

@@ -312,33 +312,45 @@ class TestNetworkBatchPaths:
         net.setup_random_registrations()
         return net
 
+    @staticmethod
+    def _spec(net, mk, tie_break=None):
+        """The forest spec of ``mk``'s tree from the network's registries."""
+
+        def member(k):
+            node = net.nodes[k]
+            return LDTMember(key=k, capacity=node.capacity, used=node.used)
+
+        return ForestSpec(
+            root=member(mk),
+            registry=[member(e.key) for e in net.nodes[mk].registry_entries()],
+            unit_cost=net.config.unit_advertise_cost,
+            tie_break=tie_break,
+        )
+
     @pytest.mark.parametrize("overlay", OVERLAY_NAMES)
-    def test_build_ldt_for_many_matches_sequential(self, overlay):
+    def test_forest_matches_network_trees(self, overlay):
         net = self._net(overlay)
         keys = [mk for mk in net.mobile_keys if net.nodes[mk].registry]
-        batch = net.build_ldt_for_many(keys)
-        for mk in keys:
-            assert_tree_equal(batch[mk], net.build_ldt_for(mk))
+        forest = build_ldt_forest([self._spec(net, mk) for mk in keys])
+        for i, mk in enumerate(keys):
+            assert_tree_equal(forest.tree(i), net.build_ldt_for(mk))
 
-    def test_build_ldt_for_many_locality_tie_break(self):
+    def test_forest_matches_network_locality_tie_break(self):
         net = self._net()
         keys = [mk for mk in net.mobile_keys if net.nodes[mk].registry][:6]
-        batch = net.build_ldt_for_many(keys, locality_tie_break=True)
-        for mk in keys:
-            assert_tree_equal(
-                batch[mk], net.build_ldt_for(mk, locality_tie_break=True)
+        specs = [
+            self._spec(
+                net,
+                mk,
+                lambda m, mk=mk: net.network_distance_between_keys(mk, m.key),
             )
-
-    def test_ldt_for_many_matches_scalar_cache(self):
-        net = self._net(seed=21)
-        keys = [mk for mk in net.mobile_keys if net.nodes[mk].registry]
-        batch = net.ldt_for_many(keys)
-        for mk in keys:
-            assert_tree_equal(batch[mk], net.ldt_for(mk))
-        # Second batched call is fully cache-served: same objects.
-        again = net.ldt_for_many(keys)
-        for mk in keys:
-            assert again[mk] is batch[mk] or again[mk] == batch[mk]
+            for mk in keys
+        ]
+        forest = build_ldt_forest(specs)
+        for i, mk in enumerate(keys):
+            assert_tree_equal(
+                forest.tree(i), net.build_ldt_for(mk, locality_tie_break=True)
+            )
 
     def test_build_ldt_for_group_matches_direct(self):
         from repro.core.ldt import merge_registry_members

@@ -150,3 +150,106 @@ class TestShuffle:
             if net.directory.resolve(mk, now=0.0) != net.nodes[mk].address
         ]
         assert len(stale) > 0
+
+
+class TestRefreshTreesUseRecursion:
+    """Every tree on the ``BristleNetwork`` path comes from ``build_ldt``;
+    the columnar forest builder belongs to the scale engine only."""
+
+    def test_refresh_trees_and_cache_counters(self, monkeypatch):
+        import sys
+
+        from repro.core import LiveSimulation
+        from repro.core import ldt_forest
+        from repro.core.ldt import LDTMember, build_ldt, merge_registry_members
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a network tree was built by the columnar forest")
+
+        original = ldt_forest.build_ldt_forest
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("repro") and vars(mod).get("build_ldt_forest") is original:
+                monkeypatch.setattr(mod, "build_ldt_forest", forbidden)
+
+        cfg = BristleConfig(
+            seed=17, naming="scrambled", state_ttl=30.0, refresh_period=10.0
+        )
+        sim = LiveSimulation.create(
+            40, 24, config=cfg, router_count=100, registry_size=4,
+            move_rate=0.05, binding="none",
+        )
+        net, engine = sim.net, sim.engine
+        group = net.mobile_keys[:5]
+        sim.binding = EarlyBinding(net, engine, host_groups=[group])
+
+        def member(k):
+            node = net.nodes[k]
+            return LDTMember(key=k, capacity=node.capacity, used=node.used)
+
+        def registry(k):
+            return [member(e.key) for e in net.nodes[k].registry_entries()]
+
+        def expect_tree(tree, root, members):
+            want = build_ldt(member(root), members, cfg.unit_advertise_cost)
+            assert tree == want
+            assert list(tree.nodes) == list(want.nodes)
+
+        # Scalar cache model: a lookup hits iff the Fig-4 inputs' epochs
+        # are unchanged since the previous lookup of the same key/group.
+        last_fp = {}
+        seen = {"hits": 0, "misses": 0, "single": 0, "group": 0}
+
+        def account(cache_key, keys):
+            regs = sorted({r for k in keys for r in net.nodes[k].registry})
+            fp = (
+                tuple(net.nodes[k].ldt_epoch for k in keys),
+                tuple(net.nodes[r].ldt_epoch for r in regs),
+            )
+            seen["hits" if last_fp.get(cache_key) == fp else "misses"] += 1
+            last_fp[cache_key] = fp
+
+        scalar_ldt_for, scalar_group = net.ldt_for, net.ldt_for_group
+
+        def ldt_for(mk):
+            account(mk, (mk,))
+            tree = scalar_ldt_for(mk)
+            expect_tree(tree, mk, registry(mk))
+            seen["single"] += 1
+            return tree
+
+        def ldt_for_group(keys):
+            g = tuple(sorted(set(keys)))
+            account(g, g)
+            rep, tree = scalar_group(keys)
+            assert rep == max(g, key=lambda k: (net.nodes[k].available, -k))
+            merged = merge_registry_members((registry(k) for k in g), exclude=g)
+            expect_tree(tree, rep, merged)
+            seen["group"] += 1
+            return rep, tree
+
+        monkeypatch.setattr(net, "ldt_for", ldt_for)
+        monkeypatch.setattr(net, "ldt_for_group", ldt_for_group)
+        counters = net.telemetry.metrics
+        before = {
+            k: counters.counter(f"ldt.cache_{k}").value for k in ("hits", "misses")
+        }
+        moved = []
+
+        def move_group():
+            report = net.move_many(group)
+            g = tuple(sorted(group))
+            merged = merge_registry_members((registry(k) for k in g), exclude=g)
+            expect_tree(report.ldt, report.ldt_root, merged)
+            moved.append(report)
+
+        engine.schedule(15.0, move_group)
+        # A registrant's workload change invalidates every tree it sits in.
+        busy = net.nodes[net.mobile_keys[-1]].registry_entries()[0].key
+        engine.schedule(25.0, lambda: net.nodes[busy].consume(1.0))
+        sim.binding.start()
+        sim.run(until=45.0)
+
+        assert seen["single"] and seen["group"] and seen["hits"] and seen["misses"]
+        for k in ("hits", "misses"):
+            assert counters.counter(f"ldt.cache_{k}").value - before[k] == seen[k]
+        assert len(moved) == 1
