@@ -246,6 +246,7 @@ class BristleNetwork:
         # --- nodes ----------------------------------------------------------
         cap_gen = self.rng.stream("capacities")
         self.nodes: Dict[int, BristleNode] = {}
+        self._mobile_set = set(self.mobile_keys)
         for key in self.stationary_keys + self.mobile_keys:
             if capacities is not None and key in capacities:
                 cap = float(capacities[key])
@@ -253,14 +254,12 @@ class BristleNetwork:
                 cap = float(cap_gen.integers(1, max_capacity + 1))
             node = BristleNode(
                 key=key,
-                mobile=key in set(self.mobile_keys),
+                mobile=key in self._mobile_set,
                 capacity=cap,
                 space=self.space,
             )
             node.address = self.placement.attach(key)
             self.nodes[key] = node
-        # Recompute mobile membership cheaply (set built once).
-        self._mobile_set = set(self.mobile_keys)
 
         # --- overlays -------------------------------------------------------
         proximity = self.network_distance_between_keys

@@ -13,9 +13,8 @@ project model (symbol table, import graph, approximate call graph —
 ``repro.sim.rng.STREAMS`` registry (BRS010), call-graph-transitive
 virtual-time purity with full offending chains (BRS011), metric-name
 consistency against ``repro.sim.metrics.METRIC_NAMES`` (BRS012), and
-columnar column ownership (BRS013).  Per-file analysis is cached by
-content hash (:mod:`repro.lint.cache`) and known debt can be ratcheted
-with a baseline file (:mod:`repro.lint.baseline`).
+columnar column ownership (BRS013).  Every run is a single cold pass:
+each file is parsed once and feeds both layers.
 
 See docs/static-analysis.md for the rule catalogue and the rationale
 tying each rule back to the paper.

@@ -15,8 +15,6 @@ import os
 import sys
 from typing import List, Optional
 
-from .baseline import write_baseline
-from .cache import DEFAULT_CACHE_PATH
 from .engine import lint_paths, report_as_dict
 from .rules import RULES
 from .wholeprogram import PROJECT_RULES
@@ -65,31 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to skip",
     )
     parser.add_argument(
-        "--cache",
-        default=DEFAULT_CACHE_PATH,
-        metavar="FILE",
-        help="incremental analysis cache file, keyed by content hash "
-        f"(default: {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache for this run",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="excuse the violations fingerprinted in FILE (the ratchet); "
-        "violations not in the baseline still fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the run's violations into --baseline FILE and exit 0 "
-        "(requires --baseline)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit (honours --format json)",
@@ -130,24 +103,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.list_rules:
         return _list_rules(args.format)
-    if args.write_baseline and not args.baseline:
-        print("error: --write-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
     try:
         report = lint_paths(
             args.paths,
             select=_codes(args.select),
             ignore=_codes(args.ignore),
-            cache_path=None if args.no_cache else args.cache,
-            baseline_path=None if args.write_baseline else args.baseline,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        count = write_baseline(args.baseline, report)
-        print(f"repro.lint: wrote {count} baseline entr{'y' if count == 1 else 'ies'} to {args.baseline}")
-        return 0
     payload = report_as_dict(report)
     if args.output:
         parent = os.path.dirname(os.path.abspath(args.output))
@@ -164,16 +128,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{code}×{n}" for code, n in report.counts().items()
         )
         status = "clean" if report.clean else counts
-        extras = []
-        if report.baselined:
-            extras.append(f"{len(report.baselined)} baselined")
-        if report.stale_baseline:
-            extras.append(f"{len(report.stale_baseline)} stale baseline entries")
-        suffix = f" ({'; '.join(extras)})" if extras else ""
         print(
             f"repro.lint: {report.files} files, "
-            f"{len(report.violations)} violation(s) [{status}]{suffix} "
-            f"[cache {report.cache_hits} hit / {report.cache_misses} miss]"
+            f"{len(report.violations)} violation(s) [{status}]"
         )
     return 0 if report.clean else 1
 

@@ -1,4 +1,4 @@
-"""Linter engine: file walking, caching, suppressions, and reporting.
+"""Linter engine: file walking, suppressions, and reporting.
 
 v1 of the engine was strictly per-file: parse, run every rule, filter
 through the inline-suppression table.  v2 layers the whole-program
@@ -6,15 +6,10 @@ analysis on top without changing that contract:
 
 * every file is still parsed once and handed to the per-file rules
   (:mod:`repro.lint.rules`, BRS001–BRS009);
-* the same parse is distilled into JSON-serialisable *facts*
+* the same parse of each ``repro.*`` module is distilled into *facts*
   (:mod:`repro.lint.project`), which feed the project model and the
   interprocedural rules (:mod:`repro.lint.wholeprogram`,
-  BRS010–BRS013);
-* per-file work (parse + per-file rules + facts) caches on the file's
-  content hash (:mod:`repro.lint.cache`), so a warm run re-parses
-  nothing — only the cheap graph passes re-run;
-* a baseline file (:mod:`repro.lint.baseline`) can ratchet new rules in
-  over a tree with known violations.
+  BRS010–BRS013).
 
 Suppression syntax (the reason is mandatory)::
 
@@ -33,7 +28,6 @@ import os
 import re
 import time as _time
 from typing import (
-    Any,
     Dict,
     Iterable,
     Iterator,
@@ -43,6 +37,8 @@ from typing import (
     Set,
     Tuple,
 )
+
+from .project import ModuleFacts, Project, extract_facts
 
 __all__ = [
     "Violation",
@@ -60,9 +56,9 @@ __all__ = [
 SUPPRESSION_CODE = "BRS000"
 
 #: Bumped on incompatible JSON-report layout changes.  v2 added
-#: ``schema_version`` itself, per-rule wall-time ``rule_timings``,
-#: cache hit/miss accounting, and baseline fields.
-REPORT_SCHEMA_VERSION = 2
+#: ``schema_version`` itself and per-rule wall-time ``rule_timings``;
+#: v3 dropped the cache and baseline fields.
+REPORT_SCHEMA_VERSION = 3
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*disable=([A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)(.*)$"
@@ -81,11 +77,6 @@ class Violation:
     #: Interprocedural rules attach the offending call chain (one
     #: ``path:line: qualname()`` entry per hop, ending at the sink).
     chain: Optional[Tuple[str, ...]] = None
-
-    def __post_init__(self) -> None:
-        # Accept lists from rule code / cache deserialisation.
-        if self.chain is not None and not isinstance(self.chain, tuple):
-            object.__setattr__(self, "chain", tuple(self.chain))
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly representation (one array entry in the report)."""
@@ -108,10 +99,6 @@ class Violation:
             return head
         hops = "\n".join(f"    {hop}" for hop in self.chain)
         return f"{head}\n{hops}"
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-independent identity, used by baseline matching."""
-        return (self.rule, self.path, self.message)
 
 
 @dataclasses.dataclass
@@ -143,12 +130,6 @@ class LintReport:
     violations: List[Violation]
     #: Per-rule wall time in seconds (whole-program rules included).
     rule_timings: Dict[str, float] = dataclasses.field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Violations excused by the ``--baseline`` file this run.
-    baselined: List[Violation] = dataclasses.field(default_factory=list)
-    #: Baseline entries that no longer fire (candidates for ratcheting).
-    stale_baseline: List[Dict[str, str]] = dataclasses.field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -235,19 +216,73 @@ def _lint_tree(
     tree: ast.Module,
     path: str,
     lines: List[str],
-) -> Dict[str, List[Violation]]:
-    """Run every per-file rule over one parsed tree; violations keyed by
-    rule code, *before* suppression filtering (the cache stores these so
-    select/ignore can vary without re-parsing)."""
+    codes: Set[str],
+    timings: Dict[str, float],
+) -> List[Violation]:
+    """Run the selected per-file rules over one parsed tree, adding each
+    rule's wall time to ``timings``; violations are returned *before*
+    suppression filtering."""
     from .rules import RULES
 
     ctx = FileContext(
         path=path, module=_module_parts(path), tree=tree, source_lines=lines
     )
-    found: Dict[str, List[Violation]] = {}
+    found: List[Violation] = []
     for code, rule in RULES.items():
-        found[code] = list(rule.check(ctx))
+        if code not in codes:
+            continue
+        t0 = _time.perf_counter()
+        found.extend(rule.check(ctx))
+        timings[code] = timings.get(code, 0.0) + (_time.perf_counter() - t0)
     return found
+
+
+@dataclasses.dataclass
+class _FileEntry:
+    """One analyzed file: its reported violations plus what the
+    whole-program pass needs."""
+
+    path: str
+    #: BRS000, PARSE and the unsuppressed per-file rule hits.
+    violations: List[Violation]
+    suppressions: Dict[int, Set[str]]
+    #: ``None`` on a parse error or when facts were not requested.
+    facts: Optional[ModuleFacts]
+
+
+def _analyze_source(
+    source: str,
+    path: str,
+    codes: Set[str],
+    timings: Dict[str, float],
+    *,
+    want_facts: bool = False,
+) -> _FileEntry:
+    """Parse + suppressions + per-file rules (+ facts) for one file.
+
+    Syntax errors are *reported*, never raised: the file contributes a
+    single PARSE violation and is excluded from the project model.
+    """
+    lines = source.splitlines()
+    suppressions, found = _parse_suppressions(lines, path)
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        found.append(
+            Violation(
+                rule="PARSE",
+                path=path,
+                line=exc.lineno or 1,
+                col=exc.offset or 0,
+                message=f"syntax error: {exc.msg}",
+            )
+        )
+        return _FileEntry(path, found, suppressions, None)
+    for v in _lint_tree(tree, path, lines, codes, timings):
+        if v.rule not in suppressions.get(v.line, ()):
+            found.append(v)
+    facts = extract_facts(tree, path, _module_parts(path)) if want_facts else None
+    return _FileEntry(path, found, suppressions, facts)
 
 
 def lint_source(
@@ -266,29 +301,8 @@ def lint_source(
     in and out of scope.
     """
     codes = _selected_codes(select, ignore)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [
-            Violation(
-                rule="PARSE",
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    lines = source.splitlines()
-    suppressions, problems = _parse_suppressions(lines, path)
-    found: List[Violation] = list(problems)
-    per_rule = _lint_tree(tree, path, lines)
-    for code in sorted(per_rule):
-        if code not in codes:
-            continue
-        for v in per_rule[code]:
-            if v.rule not in suppressions.get(v.line, ()):
-                found.append(v)
-    return sorted(found, key=lambda v: (v.line, v.col, v.rule))
+    entry = _analyze_source(source, path, codes, {})
+    return sorted(entry.violations, key=lambda v: (v.line, v.col, v.rule))
 
 
 def lint_file(
@@ -322,152 +336,52 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
                     yield os.path.join(dirpath, name)
 
 
-@dataclasses.dataclass
-class _FileEntry:
-    """One analyzed file: everything the whole-program pass needs."""
-
-    path: str
-    violations_by_rule: Dict[str, List[Violation]]
-    problems: List[Violation]  # BRS000 + PARSE
-    suppressions: Dict[int, Set[str]]
-    facts: Optional[Dict[str, Any]]  # ModuleFacts.to_dict(), None on parse error
-
-
-def _analyze_source(source: str, path: str) -> _FileEntry:
-    """Parse + per-file rules + fact extraction for one file.
-
-    Syntax errors are *reported*, never raised: the file contributes a
-    single PARSE violation and is excluded from the project model.
-    """
-    from .project import extract_facts
-
-    lines = source.splitlines()
-    suppressions, problems = _parse_suppressions(lines, path)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        problems.append(
-            Violation(
-                rule="PARSE",
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"syntax error: {exc.msg}",
-            )
-        )
-        return _FileEntry(
-            path=path,
-            violations_by_rule={},
-            problems=problems,
-            suppressions=suppressions,
-            facts=None,
-        )
-    module = _module_parts(path)
-    per_rule = _lint_tree(tree, path, lines)
-    facts = extract_facts(tree, path, module)
-    return _FileEntry(
-        path=path,
-        violations_by_rule=per_rule,
-        problems=problems,
-        suppressions=suppressions,
-        facts=facts.to_dict(),
-    )
-
-
 def lint_paths(
     paths: Sequence[str],
     *,
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    cache_path: Optional[str] = None,
-    baseline_path: Optional[str] = None,
 ) -> LintReport:
     """Lint every Python file under ``paths``; the CLI's workhorse.
 
-    Per-file work is cached in ``cache_path`` (content-hash keyed) when
-    given.  The whole-program rules run over every analyzed module whose
-    dotted path starts with ``repro`` — the project model's scope.
-    ``baseline_path`` excuses known violations (see
-    :mod:`repro.lint.baseline`).
+    The whole-program rules run over every analyzed module whose dotted
+    path starts with ``repro`` — the project model's scope.
     """
-    from . import cache as _cache
-    from .baseline import apply_baseline, load_baseline
-    from .project import ModuleFacts, Project
     from .wholeprogram import PROJECT_RULES
 
     codes = _selected_codes(select, ignore)
-    store = _cache.CacheStore.load(cache_path) if cache_path else None
+    project_codes = sorted(codes & set(PROJECT_RULES))
 
-    files = 0
     entries: List[_FileEntry] = []
     timings: Dict[str, float] = {}
-    hits = misses = 0
     for path in iter_python_files(paths):
-        files += 1
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
-        entry: Optional[_FileEntry] = None
-        digest = _cache.content_digest(source)
-        if store is not None:
-            entry = store.get(path, digest)
-        if entry is None:
-            misses += 1
-            t0 = _time.perf_counter()
-            entry = _analyze_source(source, path)
-            elapsed = _time.perf_counter() - t0
-            # File-rule timing is attributed per rule on cache misses.
-            per = elapsed / max(1, len(entry.violations_by_rule) or 1)
-            for code in entry.violations_by_rule:
-                timings[code] = timings.get(code, 0.0) + per
-            if store is not None:
-                store.put(path, digest, entry)
-        else:
-            hits += 1
-        entries.append(entry)
-    if store is not None:
-        store.save()
+        want_facts = bool(project_codes) and _module_parts(path)[:1] == ("repro",)
+        entries.append(
+            _analyze_source(source, path, codes, timings, want_facts=want_facts)
+        )
 
-    violations: List[Violation] = []
-    suppression_map: Dict[str, Dict[int, Set[str]]] = {}
-    for entry in entries:
-        suppression_map[entry.path] = entry.suppressions
-        violations.extend(entry.problems)
-        for code in sorted(entry.violations_by_rule):
-            if code not in codes:
-                continue
-            for v in entry.violations_by_rule[code]:
-                if v.rule not in entry.suppressions.get(v.line, ()):
-                    violations.append(v)
+    violations = [v for entry in entries for v in entry.violations]
 
     # ---- whole-program pass ------------------------------------------
-    project_codes = sorted(codes & set(PROJECT_RULES))
     if project_codes:
-        facts = [
-            ModuleFacts.from_dict(e.facts)
-            for e in entries
-            if e.facts is not None and e.facts["module"][:1] == ["repro"]
-        ]
-        project = Project(facts)
+        suppression_map = {e.path: e.suppressions for e in entries}
+        project = Project([e.facts for e in entries if e.facts is not None])
         for code in project_codes:
             rule = PROJECT_RULES[code]
             t0 = _time.perf_counter()
             for v in rule.check_project(project, suppression_map):
-                table = suppression_map.get(v.path, {})
-                if v.rule not in table.get(v.line, ()):
+                if v.rule not in suppression_map.get(v.path, {}).get(v.line, ()):
                     violations.append(v)
             timings[code] = timings.get(code, 0.0) + (_time.perf_counter() - t0)
 
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    report = LintReport(
-        files=files,
+    return LintReport(
+        files=len(entries),
         violations=violations,
         rule_timings={k: round(v, 6) for k, v in sorted(timings.items())},
-        cache_hits=hits,
-        cache_misses=misses,
     )
-    if baseline_path is not None:
-        apply_baseline(report, load_baseline(baseline_path))
-    return report
 
 
 def report_as_dict(report: LintReport) -> Dict[str, object]:
@@ -481,8 +395,4 @@ def report_as_dict(report: LintReport) -> Dict[str, object]:
         "counts": report.counts(),
         "violations": [v.as_dict() for v in report.violations],
         "rule_timings": report.rule_timings,
-        "cache": {"hits": report.cache_hits, "misses": report.cache_misses},
-        "baselined_count": len(report.baselined),
-        "baselined": [v.as_dict() for v in report.baselined],
-        "stale_baseline": report.stale_baseline,
     }

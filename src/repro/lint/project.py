@@ -1,10 +1,10 @@
 """Whole-program project model for lint v2.
 
 One pass of :func:`extract_facts` over each file distils the AST into a
-JSON-serialisable :class:`ModuleFacts` record: the module's import
-bindings, every function with its outgoing calls, wall-clock reads and
-``global`` declarations, RNG-stream and metric-name literals, attribute
-stores (for columnar-ownership checks), and the literal contents of the
+:class:`ModuleFacts` record: the module's import bindings, every
+function with its outgoing calls, wall-clock reads and ``global``
+declarations, RNG-stream and metric-name literals, attribute stores
+(for columnar-ownership checks), and the literal contents of the
 in-source registries (``STREAMS``, ``METRIC_NAMES``, ``OWNED_COLUMNS``).
 
 :class:`Project` then stitches the facts of every ``repro.*`` module into
@@ -16,10 +16,6 @@ That approximation is deliberately conservative-for-recall — see
 "known false-negative classes" in docs/static-analysis.md — and is what
 makes the interprocedural rules (BRS010–BRS013) whole-program rather
 than per-file.
-
-Because the facts are plain JSON, they cache per file keyed by content
-hash (:mod:`repro.lint.cache`): a warm run re-parses nothing and only
-re-runs the cheap graph passes.
 """
 
 from __future__ import annotations
@@ -39,12 +35,7 @@ __all__ = [
     "Project",
     "extract_facts",
     "MODULE_FUNCTION",
-    "FACTS_VERSION",
 ]
-
-#: Bumped whenever the shape of the extracted facts changes, so stale
-#: cache entries re-extract instead of deserialising garbage.
-FACTS_VERSION = 1
 
 #: Pseudo-function holding a module's top-level statements.
 MODULE_FUNCTION = "<module>"
@@ -247,42 +238,6 @@ class ModuleFacts:
         """The owning subsystem: the first two dotted components
         (``repro.core``), or the whole module path when shorter."""
         return ".".join(self.module[:2])
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form (the cache entry payload)."""
-        data = dataclasses.asdict(self)
-        data["module"] = list(self.module)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ModuleFacts":
-        """Rebuild facts from :meth:`to_dict` output (cache hits)."""
-        return cls(
-            path=data["path"],
-            module=tuple(data["module"]),
-            is_package=data["is_package"],
-            imports=dict(data["imports"]),
-            functions=[
-                FunctionFact(
-                    qualname=f["qualname"],
-                    name=f["name"],
-                    lineno=f["lineno"],
-                    params=list(f["params"]),
-                    is_method=f["is_method"],
-                    calls=[CallFact(**c) for c in f["calls"]],
-                    wallclock=[SinkFact(**s) for s in f["wallclock"]],
-                    globals_decl=[SinkFact(**s) for s in f["globals_decl"]],
-                )
-                for f in data["functions"]
-            ],
-            stream_uses=[StreamUse(**u) for u in data["stream_uses"]],
-            stream_params=dict(data["stream_params"]),
-            metric_uses=[MetricUse(**u) for u in data["metric_uses"]],
-            attr_stores=[AttrStore(**s) for s in data["attr_stores"]],
-            columnar_bases=list(data["columnar_bases"]),
-            registries=dict(data["registries"]),
-            sweep_workers=list(data["sweep_workers"]),
-        )
 
 
 # ----------------------------------------------------------------------

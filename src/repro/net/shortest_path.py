@@ -151,44 +151,31 @@ class PathOracle:
             )
         # LRU order: oldest-used first; promoted via move_to_end on hit.
         self._dist_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._parent_cache: Dict[int, np.ndarray] = {}
         self.dijkstra_runs = 0  # single-source rows computed
         self.batch_calls = 0  # multi-source scipy invocations
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
 
-    def _run_single_source(self, source: int) -> Tuple[np.ndarray, np.ndarray]:
+    def _run_single_source(self, source: int) -> np.ndarray:
         if self.use_scipy:
-            dist, parent = _scipy_dijkstra(
-                self._scipy_graph,
-                directed=False,
-                indices=source,
-                return_predecessors=True,
+            dist: np.ndarray = _scipy_dijkstra(
+                self._scipy_graph, directed=False, indices=source
             )
-            # scipy marks "no predecessor" with -9999; normalise to -1.
-            parent = np.where(parent < 0, -1, parent).astype(np.int64)
-            return dist, parent
-        return dijkstra_csr(self.graph, source)
+            return dist
+        return dijkstra_csr(self.graph, source)[0]
 
-    def _store(self, source: int, dist: np.ndarray, parent: np.ndarray) -> None:
-        """Insert one computed row, evicting the LRU row at the bound.
-
-        ``_parent_cache`` is kept in lockstep with ``_dist_cache`` so
-        :meth:`path` never sees a source whose distances survived eviction
-        but whose predecessors did not (or vice versa).
-        """
+    def _store(self, source: int, dist: np.ndarray) -> None:
+        """Insert one computed row, evicting the LRU row at the bound."""
         if (
             self.max_cached_sources is not None
             and source not in self._dist_cache
             and len(self._dist_cache) >= self.max_cached_sources
         ):
-            victim, _ = self._dist_cache.popitem(last=False)
-            self._parent_cache.pop(victim, None)
+            self._dist_cache.popitem(last=False)
             self.cache_evictions += 1
         self._dist_cache[source] = dist
         self._dist_cache.move_to_end(source)
-        self._parent_cache[source] = parent
 
     def _ensure(self, source: int) -> np.ndarray:
         dist = self._dist_cache.get(source)
@@ -197,9 +184,9 @@ class PathOracle:
             self._dist_cache.move_to_end(source)  # LRU promotion
             return dist
         self.cache_misses += 1
-        dist, parent = self._run_single_source(source)
+        dist = self._run_single_source(source)
         self.dijkstra_runs += 1
-        self._store(source, dist, parent)
+        self._store(source, dist)
         return dist
 
     def distances_many(self, sources: Sequence[int]) -> np.ndarray:
@@ -228,22 +215,17 @@ class PathOracle:
                 missing.append(s)
         if missing:
             if self.use_scipy and len(missing) > 1:
-                dist, parent = _scipy_dijkstra(
-                    self._scipy_graph,
-                    directed=False,
-                    indices=missing,
-                    return_predecessors=True,
+                dist = _scipy_dijkstra(
+                    self._scipy_graph, directed=False, indices=missing
                 )
-                parent = np.where(parent < 0, -1, parent).astype(np.int64)
                 self.batch_calls += 1
                 for i, s in enumerate(missing):
                     rows[s] = dist[i]
-                    self._store(s, dist[i], parent[i])
+                    self._store(s, dist[i])
             else:
                 for s in missing:
-                    d, p = self._run_single_source(s)
-                    rows[s] = d
-                    self._store(s, d, p)
+                    rows[s] = self._run_single_source(s)
+                    self._store(s, rows[s])
             self.dijkstra_runs += len(missing)
         return np.stack([rows[s] for s in order])
 
@@ -305,16 +287,6 @@ class PathOracle:
     def distances_from(self, source: int) -> np.ndarray:
         """Full distance vector from ``source`` (cached)."""
         return self._ensure(source)
-
-    def path(self, u: int, v: int) -> List[int]:
-        """One shortest vertex path u→v (empty when unreachable)."""
-        self._ensure(u)
-        return reconstruct_path(self._parent_cache[u], u, v)
-
-    def hop_count(self, u: int, v: int) -> int:
-        """Number of underlay links on one shortest path u→v (-1 if none)."""
-        p = self.path(u, v)
-        return len(p) - 1 if p else -1
 
     @property
     def cached_sources(self) -> int:

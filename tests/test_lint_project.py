@@ -3,9 +3,7 @@
 Covers the project model (:mod:`repro.lint.project`): import-graph and
 call-graph construction over synthetic mini-trees — cyclic imports,
 syntax-error files (reported, never raised), re-exported symbols,
-``from x import y as z`` aliasing — plus the incremental cache
-(:mod:`repro.lint.cache`), the baseline ratchet
-(:mod:`repro.lint.baseline`), and fixture tests for the four
+``from x import y as z`` aliasing — plus fixture tests for the four
 interprocedural rules BRS010–BRS013.
 
 Fixtures are real files in ``tmp_path`` mini-trees (a ``repro/``
@@ -19,11 +17,7 @@ from __future__ import annotations
 import json
 import textwrap
 
-import pytest
-
 from repro.lint import PROJECT_RULES, RULES, lint_paths, report_as_dict
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
-from repro.lint.cache import CacheStore, content_digest, tool_signature
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import REPORT_SCHEMA_VERSION, _module_parts
 from repro.lint.project import Project, extract_facts
@@ -248,161 +242,6 @@ class TestProjectModel:
         assert [
             q.rsplit(".", 1)[-1] for q in reach["repro.chain.shortcut"][0]
         ] == ["shortcut", "sink"]
-
-
-# ----------------------------------------------------------------------
-# Incremental cache
-# ----------------------------------------------------------------------
-class TestCache:
-    def test_warm_run_hits_everything(self, tmp_path):
-        root = write_tree(tmp_path, {"repro/mod.py": "x = 1\n"})
-        cache = tmp_path / "cache.json"
-        cold = lint_paths([root], cache_path=str(cache))
-        assert (cold.cache_hits, cold.cache_misses) == (0, 1)
-        warm = lint_paths([root], cache_path=str(cache))
-        assert (warm.cache_hits, warm.cache_misses) == (1, 0)
-        assert warm.clean == cold.clean
-
-    def test_content_change_invalidates_one_file(self, tmp_path):
-        root = write_tree(
-            tmp_path,
-            {"repro/a.py": "x = 1\n", "repro/b.py": "y = 2\n"},
-        )
-        cache = tmp_path / "cache.json"
-        lint_paths([root], cache_path=str(cache))
-        (tmp_path / "repro" / "a.py").write_text("x = 3\n")
-        rerun = lint_paths([root], cache_path=str(cache))
-        assert (rerun.cache_hits, rerun.cache_misses) == (1, 1)
-
-    def test_violations_survive_cache_round_trip(self, tmp_path):
-        root = write_tree(
-            tmp_path,
-            {
-                "repro/core/bad.py": """
-                    import random
-
-                    def pick(items):
-                        return random.choice(items)
-                """
-            },
-        )
-        cache = tmp_path / "cache.json"
-        cold = lint_paths([root], cache_path=str(cache))
-        warm = lint_paths([root], cache_path=str(cache))
-        assert warm.cache_hits == 1
-        assert [v.as_dict() for v in warm.violations] == [
-            v.as_dict() for v in cold.violations
-        ]
-
-    def test_signature_mismatch_discards_store(self, tmp_path):
-        root = write_tree(tmp_path, {"repro/mod.py": "x = 1\n"})
-        cache = tmp_path / "cache.json"
-        lint_paths([root], cache_path=str(cache))
-        payload = json.loads(cache.read_text())
-        payload["signature"] = "0" * 64
-        cache.write_text(json.dumps(payload))
-        rerun = lint_paths([root], cache_path=str(cache))
-        assert (rerun.cache_hits, rerun.cache_misses) == (0, 1)
-        # And the store was rewritten under the current signature.
-        assert json.loads(cache.read_text())["signature"] == tool_signature()
-
-    def test_corrupt_store_recovers(self, tmp_path):
-        root = write_tree(tmp_path, {"repro/mod.py": "x = 1\n"})
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        report = lint_paths([root], cache_path=str(cache))
-        assert report.cache_misses == 1
-        assert json.loads(cache.read_text())["kind"] == "repro-lint-cache"
-
-    def test_content_digest_is_content_only(self, tmp_path):
-        assert content_digest("x = 1\n") == content_digest("x = 1\n")
-        assert content_digest("x = 1\n") != content_digest("x = 2\n")
-
-    def test_store_get_rejects_stale_digest(self, tmp_path):
-        store = CacheStore.load(str(tmp_path / "c.json"))
-        assert store.get("nope.py", content_digest("x")) is None
-
-
-# ----------------------------------------------------------------------
-# Baseline ratchet
-# ----------------------------------------------------------------------
-class TestBaseline:
-    BAD = {
-        "repro/core/bad.py": """
-            import random
-
-            def pick(items):
-                return random.choice(items)
-        """
-    }
-
-    def test_write_then_excuse(self, tmp_path):
-        root = write_tree(tmp_path, self.BAD)
-        baseline = tmp_path / "baseline.json"
-        report = lint_paths([root])
-        assert not report.clean
-        count = write_baseline(str(baseline), report)
-        assert count == len(report.violations)
-        excused = lint_paths([root], baseline_path=str(baseline))
-        assert excused.clean
-        assert len(excused.baselined) == count
-        assert excused.stale_baseline == []
-
-    def test_new_violation_still_fails(self, tmp_path):
-        root = write_tree(tmp_path, self.BAD)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(str(baseline), lint_paths([root]))
-        (tmp_path / "repro" / "core" / "worse.py").write_text(
-            "import random\nrandom.random()\n"
-        )
-        report = lint_paths([root], baseline_path=str(baseline))
-        assert not report.clean
-        assert all(v.path.endswith("worse.py") for v in report.violations)
-
-    def test_fixed_violation_goes_stale(self, tmp_path):
-        root = write_tree(tmp_path, self.BAD)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(str(baseline), lint_paths([root]))
-        (tmp_path / "repro" / "core" / "bad.py").write_text("x = 1\n")
-        report = lint_paths([root], baseline_path=str(baseline))
-        assert report.clean
-        assert len(report.stale_baseline) == 1
-
-    def test_multiplicity_budget(self, tmp_path):
-        root = write_tree(
-            tmp_path,
-            {
-                "repro/core/bad.py": """
-                    import random
-
-                    def pick(items):
-                        return random.choice(items)
-
-                    def pick2(items):
-                        return random.choice(items)
-                """
-            },
-        )
-        report = lint_paths([root])
-        fps = [v.fingerprint() for v in report.violations]
-        assert len(fps) == 2 and len(set(fps)) == 1  # same fingerprint twice
-        baseline = tmp_path / "baseline.json"
-        write_baseline(str(baseline), report)
-        entries = load_baseline(str(baseline))
-        assert len(entries) == 2
-        # One recorded hit excuses one violation, not both.
-        apply_baseline(report, entries[:1])
-        assert len(report.violations) == 1
-        assert len(report.baselined) == 1
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(str(tmp_path / "absent.json")) == []
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"entries": "nope"}')
-        with pytest.raises(ValueError):
-            load_baseline(str(bad))
 
 
 # ----------------------------------------------------------------------
@@ -940,41 +779,29 @@ class TestCatalogue:
         root = write_tree(tmp_path, {"repro/mod.py": "x = 1\n"})
         report = lint_paths([root])
         payload = report_as_dict(report)
-        assert payload["schema_version"] == REPORT_SCHEMA_VERSION == 2
-        assert set(payload["rule_timings"]) >= set(PROJECT_RULES)
-        assert payload["cache"] == {"hits": 0, "misses": 1}
+        assert payload["schema_version"] == REPORT_SCHEMA_VERSION == 3
+        assert set(payload["rule_timings"]) == set(RULES) | set(PROJECT_RULES)
+        assert "cache" not in payload
+
+    def test_rule_timings_cover_selected_rules_only(self, tmp_path):
+        root = write_tree(tmp_path, {"repro/mod.py": "x = 1\n"})
+        report = lint_paths([root], select=["BRS001", "BRS011"])
+        assert set(report.rule_timings) == {"BRS001", "BRS011"}
+        assert all(t >= 0.0 for t in report.rule_timings.values())
 
     def test_output_creates_parent_dirs(self, tmp_path, capsys):
         target = tmp_path / "deep" / "nested" / "report.json"
         clean = tmp_path / "clean.py"
         clean.write_text("x = 1\n")
-        assert (
-            lint_main(
-                [str(clean), "--no-cache", "--output", str(target)]
-            )
-            == 0
-        )
+        assert lint_main([str(clean), "--output", str(target)]) == 0
         capsys.readouterr()
-        assert json.loads(target.read_text())["schema_version"] == 2
+        assert json.loads(target.read_text())["schema_version"] == 3
 
-    def test_cli_baseline_ratchet_flow(self, tmp_path, capsys):
-        root = write_tree(tmp_path, TestBaseline.BAD)
-        baseline = tmp_path / "baseline.json"
-        bad_args = [root, "--no-cache", "--baseline", str(baseline)]
-        assert lint_main(bad_args) == 1  # violations, empty baseline
-        assert lint_main(bad_args + ["--write-baseline"]) == 0
-        assert lint_main(bad_args) == 0  # now excused
-        out = capsys.readouterr().out
-        assert "baselined" in out
-
-    def test_cli_write_baseline_requires_baseline(self, tmp_path, capsys):
-        assert lint_main(["--write-baseline", str(tmp_path)]) == 2
+    def test_cli_writes_no_files(self, tmp_path, monkeypatch, capsys):
+        root = write_tree(tmp_path / "tree", {"repro/mod.py": "x = 1\n"})
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert lint_main([root]) == 0
+        assert lint_main([root, "--format", "json"]) == 0
         capsys.readouterr()
-
-    def test_cli_cache_flag(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {"repro/mod.py": "x = 1\n"})
-        cache = tmp_path / "cache.json"
-        assert lint_main([root, "--cache", str(cache)]) == 0
-        assert lint_main([root, "--cache", str(cache)]) == 0
-        out = capsys.readouterr().out
-        assert "[cache 1 hit / 0 miss]" in out
+        assert sorted(tmp_path.rglob("*")) == before
