@@ -238,7 +238,7 @@ class BristleNetwork:
                 topology = generate_transit_stub(
                     params_for_router_count(routers), self.rng
                 )
-            self.oracle = PathOracle(topology.graph)
+            self.oracle = PathOracle(topology.graph, topology=topology)
         self.topology = topology
         self.underlay = underlay
         self.placement = Placement(topology, self.rng)
@@ -422,12 +422,19 @@ class BristleNetwork:
         """
         size = registry_size if registry_size is not None else self.registry_size_for(0)
         all_keys = self.stationary_keys + self.mobile_keys
+        position = {k: i for i, k in enumerate(all_keys)}
+        stream = self.rng.stream("registrations")
         targets = list(only_keys) if only_keys is not None else self.mobile_keys
         for mk in targets:
-            pool = [k for k in all_keys if k != mk]
-            chosen = self.rng.sample("registrations", pool, min(size, len(pool)))
-            for c in chosen:
-                self.registrations.register(c, mk, now=self.now)
+            # The draw ``RngStreams.sample`` makes on the pool of all keys
+            # but ``mk``; pool index i maps to all_keys[i + (i >= pos(mk))].
+            pos = position[mk]
+            pool_size = len(all_keys) - 1
+            picks = stream.choice(pool_size, size=min(size, pool_size), replace=False)
+            for i in picks.tolist():
+                self.registrations.register(
+                    all_keys[i + (i >= pos)], mk, now=self.now
+                )
 
     def setup_local_registrations(
         self,

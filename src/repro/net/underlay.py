@@ -86,7 +86,7 @@ def build_underlay(seed: int, router_count: int) -> UnderlayBundle:
         seed=seed,
         router_count=router_count,
         topology=topology,
-        oracle=PathOracle(topology.graph),
+        oracle=PathOracle(topology.graph, topology=topology),
     )
 
 

@@ -17,7 +17,10 @@ invariants the paper's results rest on, right where they can break:
 * **columnar-store column coherence** after every batch mutation
   (:func:`check_columnar_store` — strictly sorted keys, ``expiry ==
   published + ttl``, holder counts within the replica width and a
-  correctly sorted expiry ordering).
+  correctly sorted expiry ordering);
+* **hierarchical oracle rows** against whole-graph Dijkstra
+  (:func:`check_oracle_rows` — the first row of every batch the
+  transit-stub row builder assembles).
 
 Checks are read-only — they never draw from an RNG stream or mutate
 protocol state — so a sanitized run is bit-identical to an unsanitized
@@ -36,8 +39,11 @@ import os
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    import numpy as np
+
     from .core.ldt import LDTree
     from .core.ldt_forest import LDTForest
+    from .net.shortest_path import PathOracle
     from .overlay.base import Overlay
     from .overlay.state import StatePair
 
@@ -55,6 +61,7 @@ __all__ = [
     "check_lease_refresh",
     "check_manifest_roundtrip",
     "check_columnar_store",
+    "check_oracle_rows",
 ]
 
 
@@ -329,6 +336,34 @@ def check_columnar_store(store: Any) -> None:
     ordered = store.expiry[store._exp_order]
     if n > 1 and not bool((ordered[1:] >= ordered[:-1]).all()):
         raise _violation("columnar expiry ordering does not sort the expiry column")
+
+
+# ----------------------------------------------------------------------
+# Hierarchical oracle rows (underlay distances)
+# ----------------------------------------------------------------------
+def check_oracle_rows(oracle: "PathOracle", source: int, row: "np.ndarray") -> None:
+    """A hierarchically assembled distance row must match whole-graph
+    Dijkstra within :data:`~repro.net.shortest_path.HIERARCHY_RTOL`, with
+    the same unreachable (``inf``) entries.  The reference row bypasses the
+    oracle's cache and counters, so sanitized output stays bit-identical."""
+    _record("oracle")
+    import numpy as np
+
+    from .net.shortest_path import HIERARCHY_RTOL
+
+    ref = oracle._dijkstra_rows([source])[0]
+    finite = np.isfinite(ref)
+    if not np.array_equal(finite, np.isfinite(row)):
+        raise _violation(f"oracle row {source}: reachability differs from Dijkstra")
+    err = np.abs(row[finite] - ref[finite])
+    bound = HIERARCHY_RTOL * np.abs(ref[finite])
+    if err.size and not bool(np.all(err <= bound)):
+        worst = int(np.argmax(err - bound))
+        raise _violation(
+            f"oracle row {source}: entry {int(np.flatnonzero(finite)[worst])} is "
+            f"{row[finite][worst]!r}, Dijkstra gives {ref[finite][worst]!r} "
+            f"(rtol {HIERARCHY_RTOL})"
+        )
 
 
 def _jsonify(value: Any) -> Any:

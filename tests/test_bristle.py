@@ -256,6 +256,55 @@ class TestRegistrationSetups:
             assert len(small_net.nodes[mk].registry) == 0
 
 
+def _pool_registrations(net, registry_size, only_keys=None):
+    """Reference for ``setup_random_registrations``: one explicit pool of
+    every other key per mobile node, drawn through ``RngStreams.sample``."""
+    all_keys = net.stationary_keys + net.mobile_keys
+    targets = list(only_keys) if only_keys is not None else net.mobile_keys
+    for mk in targets:
+        pool = [k for k in all_keys if k != mk]
+        chosen = net.rng.sample("registrations", pool, min(registry_size, len(pool)))
+        for c in chosen:
+            net.registrations.register(c, mk, now=net.now)
+
+
+class TestRandomRegistrationsMatchPoolReference:
+    """The index-mapped draw picks exactly what the pool-based draw did."""
+
+    @staticmethod
+    def _state(net):
+        return (
+            {k: list(node.registry) for k, node in net.nodes.items()},
+            {k: sorted(node.subscriptions) for k, node in net.nodes.items()},
+            net.rng.stream("registrations").bit_generator.state,
+        )
+
+    @pytest.mark.parametrize(
+        "registry_size, only",
+        [
+            (5, None),  # full population
+            (7, slice(3, 11)),  # only_keys subset
+            (29, None),  # registry size == pool size (N - 1)
+            (50, None),  # larger than the pool: clipped to N - 1
+            (4, "stationary"),  # targets outside the mobile keys
+        ],
+    )
+    def test_identical_registries_and_stream(self, registry_size, only):
+        def build():
+            return BristleNetwork(BristleConfig(seed=23), 18, 12, router_count=100)
+
+        fast, ref = build(), build()
+        if only == "stationary":
+            only_keys = fast.stationary_keys[:4]
+        elif only is not None:
+            only_keys = fast.mobile_keys[only]
+        else:
+            only_keys = None
+        fast.setup_random_registrations(registry_size, only_keys=only_keys)
+        _pool_registrations(ref, registry_size, only_keys)
+        assert self._state(fast) == self._state(ref)
+
+
 class TestClock:
     def test_advance_time(self, small_net):
         small_net.advance_time(5.0)

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro import sanitize
@@ -216,6 +217,54 @@ class TestManifestChecks:
 
         write_manifest(self.manifest(), str(tmp_path / "m.json"))
         assert sanitizer.counts()["manifest"] == 1
+
+
+# ----------------------------------------------------------------------
+# Hierarchical oracle rows
+# ----------------------------------------------------------------------
+class TestOracleRowChecks:
+    @staticmethod
+    def oracle():
+        from repro.net import PathOracle
+        from repro.net.transit_stub import TransitStubParams, generate_transit_stub
+        from repro.sim import RngStreams
+
+        topo = generate_transit_stub(TransitStubParams(), RngStreams(5))
+        return PathOracle(topo.graph, topology=topo)
+
+    def test_each_batch_checked_without_touching_cache(self, sanitizer):
+        oracle = self.oracle()
+        sources = [0, 9, 20, 33]
+        with_check = oracle.distances_many(sources)
+        stats = oracle.cache_stats()
+        assert sanitizer.counts()["oracle"] == 1
+        oracle.distance(40, 41)  # one more (single-row) batch
+        assert sanitizer.counts()["oracle"] == 2
+        sanitize.set_enabled(False)
+        plain = self.oracle()
+        assert np.array_equal(plain.distances_many(sources), with_check)
+        assert plain.cache_stats() == stats
+
+    def test_clean_row_leaves_counters(self, sanitizer):
+        oracle = self.oracle()
+        row = oracle.distances_from(7).copy()
+        before = oracle.cache_stats()
+        sanitize.check_oracle_rows(oracle, 7, row)
+        assert oracle.cache_stats() == before
+
+    def test_out_of_tolerance_entry_raises(self, sanitizer):
+        oracle = self.oracle()
+        row = oracle.distances_from(7).copy()
+        row[3] *= 1 + 1e-12
+        with pytest.raises(SanitizerViolation, match="entry 3"):
+            sanitize.check_oracle_rows(oracle, 7, row)
+
+    def test_reachability_mismatch_raises(self, sanitizer):
+        oracle = self.oracle()
+        row = oracle.distances_from(7).copy()
+        row[5] = np.inf
+        with pytest.raises(SanitizerViolation, match="reachability"):
+            sanitize.check_oracle_rows(oracle, 7, row)
 
 
 # ----------------------------------------------------------------------

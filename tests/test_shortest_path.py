@@ -1,10 +1,15 @@
 """Tests for repro.net.shortest_path — Dijkstra, PathOracle, and
 cross-validation against networkx."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.net import Graph, PathOracle, dijkstra_csr, reconstruct_path
+from repro.net.shortest_path import HIERARCHY_RTOL
 from repro.net.transit_stub import TransitStubParams, generate_transit_stub
 from repro.sim import RngStreams
 
@@ -348,3 +353,147 @@ class TestBackendParity:
                 assert p[0] == s and p[-1] == t
                 assert path_cost(p) == pytest.approx(fast.distance(s, t))
                 assert path_cost(p) == pytest.approx(slow.distance(s, t))
+
+
+# ---------------------------------------------------------------------------
+# Hierarchical (transit-stub) rows
+# ---------------------------------------------------------------------------
+PARAMS = st.builds(
+    TransitStubParams,
+    num_transit_domains=st.integers(1, 3),
+    transit_nodes_per_domain=st.integers(1, 4),
+    stub_domains_per_transit=st.integers(0, 3),
+    stub_nodes_per_domain=st.integers(1, 6),
+    intra_edge_prob=st.sampled_from([0.0, 0.3, 1.0]),
+)
+
+
+def _queries(topo, rng):
+    """A mixed query sequence: transit sources, same-stub pairs and
+    cross-stub pairs through every public entry point."""
+    transit = list(topo.transit_routers)
+    stubs = list(topo.domains.values())
+    pairs = [(int(rng.choice(transit)), int(rng.integers(topo.num_routers)))]
+    for members in stubs[:3]:
+        pairs.append((int(rng.choice(members)), int(rng.choice(members))))
+    for a, b in zip(stubs, stubs[1:4]):
+        pairs.append((int(rng.choice(a)), int(rng.choice(b))))
+    sources = [int(s) for s in rng.integers(topo.num_routers, size=5)]
+    return [
+        ("prewarm", sources[:2]),
+        ("distance", pairs),
+        ("distances_from", [p[0] for p in pairs] + transit[:2]),
+        ("distances_many", sources + [p[1] for p in pairs]),
+        ("route_costs", pairs + [(b, a) for a, b in pairs]),
+        ("prewarm", sources + transit),
+    ]
+
+
+def _run(oracle, queries):
+    out = []
+    for op, arg in queries:
+        if op == "distance":
+            out.append((op, arg, np.array([oracle.distance(u, v) for u, v in arg])))
+        elif op == "distances_from":
+            out.append((op, arg, np.stack([oracle.distances_from(s) for s in arg])))
+        elif op == "prewarm":
+            out.append((op, arg, oracle.prewarm(arg)))
+        else:
+            out.append((op, arg, getattr(oracle, op)(arg)))
+    stats = oracle.cache_stats()
+    stats.pop("hit_rate")
+    return out, stats
+
+
+def _check_against_dijkstra(graph, results):
+    rows = {}
+
+    def ref(s):
+        if s not in rows:
+            rows[s] = dijkstra_csr(graph, s)[0]
+        return rows[s]
+
+    for op, arg, got in results:
+        if op in ("distance", "route_costs"):
+            expect = np.array([ref(u)[v] for u, v in arg])
+        elif op in ("distances_from", "distances_many"):
+            expect = np.stack([ref(s) for s in arg])
+        else:
+            continue
+        np.testing.assert_allclose(got, expect, rtol=HIERARCHY_RTOL, atol=0)
+
+
+class TestHierarchicalOracle:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(params=PARAMS, seed=st.integers(0, 2**16), bound=st.sampled_from([None, 3]))
+    @example(params=TransitStubParams(stub_nodes_per_domain=1), seed=1, bound=None)
+    @example(params=TransitStubParams(stub_domains_per_transit=0), seed=2, bound=None)
+    @example(params=TransitStubParams(num_transit_domains=1), seed=3, bound=2)
+    def test_matches_dijkstra_with_identical_counters(self, params, seed, bound):
+        topo = generate_transit_stub(params, RngStreams(seed))
+        queries = _queries(topo, np.random.default_rng(seed))
+        for use_scipy in (True, False):
+            plain = PathOracle(topo.graph, bound, use_scipy=use_scipy)
+            hier = PathOracle(topo.graph, bound, use_scipy=use_scipy, topology=topo)
+            results, stats = _run(hier, queries)
+            _check_against_dijkstra(topo.graph, results)
+            assert stats == _run(plain, queries)[1]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_same_stub_and_core_entries_bit_identical(self, seed):
+        params = TransitStubParams(stub_nodes_per_domain=7, intra_edge_prob=0.3)
+        topo = generate_transit_stub(params, RngStreams(seed))
+        hier = PathOracle(topo.graph, topology=topo)
+        transit = list(topo.transit_routers)
+        for s in transit:
+            ref = dijkstra_csr(topo.graph, s)[0]
+            assert np.array_equal(hier.distances_from(s)[transit], ref[transit])
+        for members in topo.domains.values():
+            for s in members[:2]:
+                ref = dijkstra_csr(topo.graph, s)[0]
+                assert np.array_equal(hier.distances_from(s)[members], ref[members])
+
+    def test_records_gateways(self):
+        topo = generate_transit_stub(TransitStubParams(), RngStreams(5))
+        assert sorted(topo.gateways) == sorted(topo.domains)
+        for d, (gw, t, w) in topo.gateways.items():
+            assert gw in topo.domains[d] and t in topo.transit_routers
+            assert topo.graph.edge_weight(gw, t) == w
+
+    @staticmethod
+    def _with_extra_edge(topo, u, v):
+        g = Graph()
+        g.add_vertices(topo.num_routers)
+        for a, b, w in topo.graph.edges():
+            g.add_edge(a, b, w)
+        g.add_edge(u, v, 5.0)
+        g.freeze()
+        return dataclasses.replace(topo, graph=g)
+
+    def test_second_exit_edge_raises(self):
+        topo = generate_transit_stub(TransitStubParams(), RngStreams(5))
+        gw, t, _ = topo.gateways[0]
+        other = next(r for r in topo.transit_routers if r != t)
+        inner = next(r for r in topo.domains[0] if r != gw)
+        bad = self._with_extra_edge(topo, inner, other)
+        with pytest.raises(ValueError, match="exit edges"):
+            PathOracle(bad.graph, topology=bad)
+        with pytest.raises(ValueError, match="different graph"):
+            PathOracle(topo.graph, topology=bad)
+
+    def test_stub_to_stub_edge_raises(self):
+        topo = generate_transit_stub(TransitStubParams(), RngStreams(5))
+        a, b = topo.domains[0][0], topo.domains[1][0]
+        bad = self._with_extra_edge(topo, a, b)
+        with pytest.raises(ValueError, match="exit edges"):
+            PathOracle(bad.graph, topology=bad)
+
+    def test_unrecorded_gateway_raises(self):
+        topo = generate_transit_stub(TransitStubParams(), RngStreams(5))
+        bare = dataclasses.replace(topo, gateways={})
+        with pytest.raises(ValueError, match="recorded gateway"):
+            PathOracle(topo.graph, topology=bare)
